@@ -49,13 +49,6 @@ def _v3(n: int) -> int:
     return e
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = isqrt(n)
-    return s * s == n
-
-
 def _divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factorize(n).factors:
@@ -209,22 +202,6 @@ def _alt_ratio(bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     seen = [False] * len(perm)
     out = []
@@ -241,21 +218,26 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
+def _is_even(perm: tuple[int, ...]) -> bool:
+    # a permutation's parity is that of its size minus its cycle count
+    return (len(perm) - len(_cycle_lengths(perm))) % 2 == 0
+
+
 def _alt_a7(_bound: int | None) -> tuple[bool, list]:
     double = [1, 1, 1, 2, 2]
     n_g = sum(1 for p in permutations(range(7))
-              if _perm_parity(p) == 0 and _cycle_lengths(p) == double)
+              if _is_even(p) and _cycle_lengths(p) == double)
 
     s5_count = 0
     for sigma in permutations(range(5)):
-        tail = (5, 6) if _perm_parity(sigma) == 0 else (6, 5)
+        tail = (5, 6) if _is_even(sigma) else (6, 5)
         if _cycle_lengths(sigma + tail) == double:
             s5_count += 1
     a6_count = sum(1 for sigma in permutations(range(6))
-                   if _perm_parity(sigma) == 0
+                   if _is_even(sigma)
                    and _cycle_lengths(sigma + (6,)) == double)
     a5_count = sum(1 for sigma in permutations(range(5))
-                   if _perm_parity(sigma) == 0
+                   if _is_even(sigma)
                    and _cycle_lengths(sigma + (5, 6)) == double)
 
     ok = True
@@ -648,7 +630,7 @@ def _u_n5_b1(_bound: int | None) -> tuple[bool, list]:
         expect("cofactor-identity", cof == q**4 - q**3 + q * q - q + 1)
         v = q**4 * cof
         expect("single-multiple", isqrt(2 * v) // q**4 == 1)
-        expect("not-quadratic", not _is_square(4 * q**4 - 3))
+        expect("not-quadratic", quadratic_ratio_root(q**4) is None)
         expect("proper-power-excluded", is_prime_power(q**4) == (q, 4) and q**4 != 343)
         ok &= confirm()
     return ok, witnesses
@@ -663,7 +645,7 @@ def _u_n6_b2(_bound: int | None) -> tuple[bool, list]:
         expect("cofactor-window", q**8 <= 2 * cof < 4 * q**8)
         v = q**8 * cof
         expect("single-multiple", isqrt(2 * v) // q**8 == 1)
-        expect("not-quadratic", not _is_square(4 * q**8 - 3))
+        expect("not-quadratic", quadratic_ratio_root(q**8) is None)
         expect("proper-power-excluded", is_prime_power(q**8) == (q, 8) and q**8 != 343)
         ok &= confirm()
     return ok, witnesses
@@ -703,7 +685,7 @@ def _sp_n6(_bound: int | None) -> tuple[bool, list]:
         r_floor = q2 * (q2 + 1) // 2
         expect("catalog-floor", r_floor == _class_size(group_spec("PSp", n=4, q=q), "psp4"))
         expect("ratio-cap", n_g < r_floor * 2 * q2 * (q2 + 1))
-        expect("q4-not-quadratic", not _is_square(4 * q4 - 3))
+        expect("q4-not-quadratic", quadratic_ratio_root(q4) is None)
         expect("q4-proper-power-excluded", is_prime_power(q4)[1] > 1 and q4 != 343)
         expect("middle-root", quadratic_ratio_root(n2) == q2 + 1)
         expect("middle-fixed-count", (q2 + 1) ** 2 + (q2 + 1) + 1 == q4 + 3 * q2 + 3)
@@ -836,7 +818,7 @@ def _e6_minus(_bound: int | None) -> tuple[bool, list]:
         expect("unit-multiplier-cofactor", lm % q16 == 0 and lm // q16 < 8 * q16)
         n_prime = (q * q - q + 1) * (q**6 - q**3 + 1) * (q8 + q4 + 1)
         expect("p-free-window", 2 * q16 > n_prime + 2 * isqrt(n_prime) + 2)
-        expect("q16-not-quadratic", not _is_square(4 * q16 - 3))
+        expect("q16-not-quadratic", quadratic_ratio_root(q16) is None)
         expect("q16-proper-power-excluded", is_prime_power(q16)[1] > 1 and q16 != 343)
         window_top = 3 * q16 * (3 * q16 + 2 * isqrt(3 * q16) + 2)
         expect("window-above-7", 7 * lm < 9 * q**32)
@@ -860,7 +842,7 @@ def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
         r_floor = 1 + r_num // 4
         expect("ratio-cap", n_g < r_floor * 7 * q8)
         expect("p-free-window", n4 + 2 * isqrt(n4) + 2 < 3 * q8)
-        expect("q8-not-quadratic", not _is_square(4 * q8 - 3))
+        expect("q8-not-quadratic", quadratic_ratio_root(q8) is None)
         expect("q8-proper-power-excluded", is_prime_power(q8)[1] > 1 and q8 != 343)
         expect("divisor-third", n4 % 3 == 0)
         third = n4 // 3
@@ -885,7 +867,7 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
         mults = [a for a in range(3, 19, 2) if admissible_index(a) and a % 3 != 0]
         expect("multipliers", mults == [7, 13])
         expect("ratio-cap", 4 * q2 * n2 < 7 * q4 * (q - 1) ** 2)
-        expect("q4-not-quadratic", not _is_square(4 * q4 - 3))
+        expect("q4-not-quadratic", quadratic_ratio_root(q4) is None)
         expect("q4-proper-power-excluded", is_prime_power(q4)[1] > 1 and q4 != 343)
         window_top = 3 * q4 * (3 * q4 + 2 * isqrt(3 * q4) + 2)
         expect("multiplier-below-12", window_top < 12 * q4 * n2)

@@ -41,12 +41,18 @@ def plane_order(u: int) -> PlaneOrder:
                       factor_plus=plus, factor_minus=minus)
 
 
-def admissible_index(n: int) -> bool:
+def admissible_index(n: int | Factorization) -> bool:
     """True iff every prime divisor of n is 3 or lies in 1 mod 3, and the
-    exponent of 3 is at most 1.  n = 1 passes vacuously."""
-    if n < 1:
-        raise ValueError(f"admissible_index expects n >= 1, got {n}")
-    for p, e in factorize(n).factors:
+    exponent of 3 is at most 1.  n = 1 passes vacuously.  n may be given
+    as its Factorization (such as PlaneOrder.v_factors), which is read
+    as is and not factored again."""
+    if isinstance(n, int):
+        if n < 1:
+            raise ValueError(f"admissible_index expects n >= 1, got {n}")
+        n = factorize(n)
+    elif n.value < 1:
+        raise ValueError(f"admissible_index expects n >= 1, got {n.value}")
+    for p, e in n.factors:
         if p == 3:
             if e > 1:
                 return False

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .catalog import classes_for, involution_class_size
-from .exactmath import Factorization, factorize, merge_factorizations
+from .exactmath import Factorization
 from .groups import GroupSpec, min_proper_index
-from .plane import (LjunggrenClass, PlaneOrder, admissible_index,
-                    ljunggren_classify, plane_order, quadratic_ratio_root)
+from .plane import (LjunggrenClass, PlaneOrder, admissible_index, kantor_inequality_holds,
+                    ljunggren_classify, plane_order)
 
 U_CAP = 10**6
 
@@ -26,9 +26,9 @@ U_CAP = 10**6
 class GateVerdict:
     """Outcome of the counting gate for one plane order and one group.
 
-    class_modes records, per catalog involution class, either "pass"
-    (some divisor r of the class size has class_size/r = u^2-u+1, so
-    the counting identity lands exactly on v) or the failure mode.
+    class_modes records, per catalog involution class, "pass" (the
+    class size is a multiple of u^2-u+1, so r = class_size/(u^2-u+1)
+    makes the counting identity land exactly on v) or "non-divisor".
     floor_ok reports the optional index-floor comparison v > floor;
     None means no floor is available for the family.
     """
@@ -66,13 +66,6 @@ def candidate_gate(plane: PlaneOrder, spec: GroupSpec, *,
         if n_g % ratio != 0:
             modes.append((entry.label, "non-divisor"))
             continue
-        root = quadratic_ratio_root(ratio)
-        if root is None:
-            modes.append((entry.label, "wrong-quadratic-form"))
-            continue
-        if ratio * (root * root + root + 1) != plane.v:
-            modes.append((entry.label, "v-mismatch"))
-            continue
         modes.append((entry.label, "pass"))
         if witness_r is None:
             witness_r = n_g // ratio
@@ -91,10 +84,9 @@ def candidate_gate(plane: PlaneOrder, spec: GroupSpec, *,
 
 def _row(u: int, candidates: tuple[GroupSpec, ...]) -> SieveRow:
     plane = plane_order(u)
-    factors = merge_factorizations(factorize(plane.factor_plus),
-                                   factorize(plane.factor_minus))
+    factors = plane.v_factors
     trace = [("coprime-halves", gcd(plane.factor_plus, plane.factor_minus) == 1),
-             ("admissible-value", admissible_index(plane.v))]
+             ("admissible-value", admissible_index(factors))]
 
     cls = ljunggren_classify(u)
     trace.append((f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PRIME_POWER))
@@ -103,7 +95,7 @@ def _row(u: int, candidates: tuple[GroupSpec, ...]) -> SieveRow:
     if not repeated:
         trace.append(("kantor-not-applicable", True))
     else:
-        holds = all(plane.v // p**e > 8 * p**e or p**e == 343 for p, e in repeated)
+        holds = all(kantor_inequality_holds(p, e, plane.v // p**e, u) for p, e in repeated)
         trace.append(("kantor", holds))
 
     for spec in candidates:

@@ -1,6 +1,7 @@
 """Command-line behavior: output, exit codes, and the structured
 record stream."""
 
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,15 @@ def test_scan_structured_with_candidates(capsys):
     gate = dict(map(tuple, by_u[4]["filters"]))["candidate-PSL(2,13)"]
     assert gate is True
     assert dict(map(tuple, by_u[2]["filters"]))["candidate-PSL(2,13)"] is False
+
+
+def test_scan_structured_stream_golden_digest(capsys):
+    # byte-for-byte pin of the row stream, candidate gates included
+    code, out, _ = _run(capsys, "scan", "--u-min", "2", "--u-max", "2000",
+                        "--candidates", "PSL 2 13,G2 7,PSU 5 7", "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "456fca998952f0c1fe062320b3c01f697cf0feaa9a40a2670a3073c3cf2f7117")
 
 
 def test_scan_bad_range(capsys):

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from planesieve.exactmath import is_prime_power
+from planesieve.exactmath import factorize, is_prime_power
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               involution_counts, kantor_inequality_holds,
                               largest_prime_part_bound, ljunggren_classify,
@@ -56,6 +56,7 @@ def test_plane_order_identities():
 ])
 def test_admissible_index(n, expected):
     assert admissible_index(n) == expected
+    assert admissible_index(factorize(n)) == expected
 
 
 def test_admissible_index_rejects_nonpositive():

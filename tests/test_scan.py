@@ -3,6 +3,8 @@ invariant against independent recomputation."""
 
 import pytest
 
+import planesieve.exactmath
+import planesieve.plane
 from planesieve.groups import group_spec
 from planesieve.plane import (LjunggrenClass, admissible_index,
                               ljunggren_classify, plane_order)
@@ -91,6 +93,22 @@ def test_kantor_filter_fires_on_repeated_primes():
         assert any(e >= 2 for _, e in row.v_factors.factors)
         assert ("kantor", True) in row.filter_trace
         assert row.survived
+
+
+@pytest.mark.parametrize("u", [2, 18, 19, 950001, 950002])
+def test_row_never_factors_whole_v(monkeypatch, u):
+    # a row reads v's factorization off the two coprime halves
+    real = planesieve.exactmath.factorize
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(planesieve.exactmath, "factorize", spy)
+    monkeypatch.setattr(planesieve.plane, "factorize", spy)
+    sieve_orders(u, u)
+    assert seen and max(seen) <= u * u + u + 1
 
 
 def test_sieve_is_pure():
