@@ -14,15 +14,20 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
 
-from .exactmath import Factorization, factorize, is_prime, is_prime_power, merge_factorizations
+from .exactmath import Factorization, factorize, is_prime, merge_factorizations
 
 
 @dataclass(frozen=True)
 class PlaneOrder:
+    """Square plane order x = u**2 with v = x**2 + x + 1.  plus_factors is
+    the factorization of u**2 + u + 1, kept so ljunggren_classify can read
+    it; v_factors merges it with that of u**2 - u + 1."""
+
     u: int
     x: int
     v: int
     v_factors: Factorization
+    plus_factors: Factorization
     factor_plus: int   # u**2 + u + 1
     factor_minus: int  # u**2 - u + 1
 
@@ -36,8 +41,9 @@ def plane_order(u: int) -> PlaneOrder:
     minus = x - u + 1
     v = x * x + x + 1
     assert v == plus * minus and gcd(plus, minus) == 1
-    v_factors = merge_factorizations(factorize(plus), factorize(minus))
-    return PlaneOrder(u=u, x=x, v=v, v_factors=v_factors,
+    plus_factors = factorize(plus)
+    v_factors = merge_factorizations(plus_factors, factorize(minus))
+    return PlaneOrder(u=u, x=x, v=v, v_factors=v_factors, plus_factors=plus_factors,
                       factor_plus=plus, factor_minus=minus)
 
 
@@ -68,18 +74,20 @@ class LjunggrenClass(Enum):
     COMPOSITE = "composite"
 
 
-def ljunggren_classify(u: int) -> LjunggrenClass:
+def ljunggren_classify(u: int | Factorization) -> LjunggrenClass:
     """Classify u**2 + u + 1: prime, the exceptional perfect power 343
-    (u = 18), some other proper prime power, or composite."""
-    if u < 1:
-        raise ValueError(f"ljunggren_classify expects u >= 1, got {u}")
-    n = u * u + u + 1
-    if is_prime(n):
-        return LjunggrenClass.PRIME_VALUE
-    pp = is_prime_power(n)
-    if pp is None:
+    (u = 18), some other proper prime power, or composite.  Instead of u
+    the Factorization of u**2 + u + 1 itself may be given (such as
+    PlaneOrder.plus_factors); it is classified as is, not factored again."""
+    if isinstance(u, int):
+        if u < 1:
+            raise ValueError(f"ljunggren_classify expects u >= 1, got {u}")
+        u = factorize(u * u + u + 1)
+    if len(u.factors) > 1:
         return LjunggrenClass.COMPOSITE
-    return LjunggrenClass.SEVEN_CUBED if n == 343 else LjunggrenClass.OTHER_PRIME_POWER
+    if u.factors[0][1] == 1:
+        return LjunggrenClass.PRIME_VALUE
+    return LjunggrenClass.SEVEN_CUBED if u.value == 343 else LjunggrenClass.OTHER_PRIME_POWER
 
 
 def quadratic_ratio_root(t: int) -> int | None:

@@ -50,45 +50,55 @@ class SieveRow:
     survived: bool
 
 
-def candidate_gate(plane: PlaneOrder, spec: GroupSpec, *,
+@dataclass(frozen=True)
+class Candidate:
+    """What the counting gate needs of a candidate group, none of which
+    depends on the plane order: the (label, involution class size) pair
+    of each catalog class, and the index floor (None when no floor is
+    wired for the family or no catalog class covers the group)."""
+
+    spec: GroupSpec
+    name: str
+    sizes: tuple[tuple[str, int], ...]
+    floor: int | None
+
+
+def prepare_candidate(spec: GroupSpec) -> Candidate:
+    """Evaluate spec's class sizes and index floor, once per scan."""
+    sizes = tuple((entry.label, involution_class_size(entry)) for entry in classes_for(spec))
+    return Candidate(spec=spec, name=str(spec), sizes=sizes,
+                     floor=min_proper_index(spec) if sizes else None)
+
+
+def candidate_gate(plane: PlaneOrder, spec: GroupSpec | Candidate, *,
                    apply_index_floor: bool = True) -> GateVerdict:
     """Test whether any catalog involution class of spec admits the
-    counting identity v = (n_g/r_g)(u^2+u+1) at this plane order."""
-    entries = classes_for(spec)
-    if not entries:
-        return GateVerdict(spec=str(spec), outcome="uncovered", class_modes=())
+    counting identity v = (n_g/r_g)(u^2+u+1) at this plane order.  spec
+    may be given as its precomputed Candidate, as sieve_orders does, so
+    that only the divisibility by u^2-u+1 is left to each row."""
+    cand = spec if isinstance(spec, Candidate) else prepare_candidate(spec)
+    if not cand.sizes:
+        return GateVerdict(spec=cand.name, outcome="uncovered", class_modes=())
 
     ratio = plane.factor_minus
-    modes = []
-    witness_r = None
-    for entry in entries:
-        n_g = involution_class_size(entry)
-        if n_g % ratio != 0:
-            modes.append((entry.label, "non-divisor"))
-            continue
-        modes.append((entry.label, "pass"))
-        if witness_r is None:
-            witness_r = n_g // ratio
-
-    floor = floor_ok = None
-    if apply_index_floor:
-        floor = min_proper_index(spec)
-        if floor is not None:
-            floor_ok = plane.v > floor
+    modes = tuple((label, "non-divisor" if n_g % ratio else "pass") for label, n_g in cand.sizes)
+    witness_r = next((n_g // ratio for _, n_g in cand.sizes if n_g % ratio == 0), None)
+    floor = cand.floor if apply_index_floor else None
+    floor_ok = None if floor is None else plane.v > floor
 
     passed = witness_r is not None and floor_ok is not False
-    return GateVerdict(spec=str(spec), outcome="pass" if passed else "fail",
-                       class_modes=tuple(modes), witness_r=witness_r,
+    return GateVerdict(spec=cand.name, outcome="pass" if passed else "fail",
+                       class_modes=modes, witness_r=witness_r,
                        floor=floor, floor_ok=floor_ok)
 
 
-def _row(u: int, candidates: tuple[GroupSpec, ...]) -> SieveRow:
+def _row(u: int, candidates: tuple[Candidate, ...]) -> SieveRow:
     plane = plane_order(u)
     factors = plane.v_factors
     trace = [("coprime-halves", gcd(plane.factor_plus, plane.factor_minus) == 1),
              ("admissible-value", admissible_index(factors))]
 
-    cls = ljunggren_classify(u)
+    cls = ljunggren_classify(plane.plus_factors)
     trace.append((f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PRIME_POWER))
 
     repeated = [(p, e) for p, e in factors.factors if e >= 2]
@@ -98,8 +108,8 @@ def _row(u: int, candidates: tuple[GroupSpec, ...]) -> SieveRow:
         holds = all(kantor_inequality_holds(p, e, plane.v // p**e, u) for p, e in repeated)
         trace.append(("kantor", holds))
 
-    for spec in candidates:
-        verdict = candidate_gate(plane, spec)
+    for cand in candidates:
+        verdict = candidate_gate(plane, cand)
         trace.append((f"candidate-{verdict.spec}", verdict.outcome != "fail"))
 
     return SieveRow(u=u, v=plane.v, v_factors=factors,
@@ -116,5 +126,5 @@ def sieve_orders(u_min: int, u_max: int,
         raise ValueError(f"inverted range [{u_min}, {u_max}]")
     if u_max > U_CAP:
         raise ValueError(f"u_max {u_max} exceeds the cap {U_CAP}")
-    candidates = tuple(group_candidates or ())
+    candidates = tuple(prepare_candidate(spec) for spec in group_candidates or ())
     return [_row(u, candidates) for u in range(u_min, u_max + 1)]

@@ -75,6 +75,7 @@ def test_ljunggren_classify_consistent_with_prime_power_test():
     for u in range(1, 500):
         value = u * u + u + 1
         cls = ljunggren_classify(u)
+        assert ljunggren_classify(factorize(value)) is cls
         pp = is_prime_power(value)
         if cls is LjunggrenClass.PRIME_VALUE:
             assert pp == (value, 1)

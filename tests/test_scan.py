@@ -5,10 +5,11 @@ import pytest
 
 import planesieve.exactmath
 import planesieve.plane
-from planesieve.groups import group_spec
-from planesieve.plane import (LjunggrenClass, admissible_index,
-                              ljunggren_classify, plane_order)
-from planesieve.scan import U_CAP, candidate_gate, sieve_orders
+import planesieve.scan
+from planesieve.exactmath import is_prime, nth_root
+from planesieve.groups import GroupSpec, group_spec
+from planesieve.plane import PlaneOrder, admissible_index, plane_order
+from planesieve.scan import U_CAP, candidate_gate, prepare_candidate, sieve_orders
 
 
 def test_row_u2_base_filters():
@@ -32,8 +33,15 @@ def test_row_u18_seven_cubed_annotation():
     assert row.survived
 
 
+def _gate(plane: PlaneOrder, spec: GroupSpec, **kwargs):
+    # the GroupSpec form and the precomputed form must agree
+    verdict = candidate_gate(plane, spec, **kwargs)
+    assert candidate_gate(plane, prepare_candidate(spec), **kwargs) == verdict
+    return verdict
+
+
 def test_candidate_gate_pass_at_u4():
-    verdict = candidate_gate(plane_order(4), group_spec("PSL", n=2, q=13))
+    verdict = _gate(plane_order(4), group_spec("PSL", n=2, q=13))
     assert verdict.outcome == "pass"
     assert verdict.witness_r == 7
     assert ("psl2-odd-plus", "pass") in verdict.class_modes
@@ -41,24 +49,23 @@ def test_candidate_gate_pass_at_u4():
 
 
 def test_candidate_gate_non_divisor_at_u2():
-    verdict = candidate_gate(plane_order(2), group_spec("PSL", n=2, q=13))
+    verdict = _gate(plane_order(2), group_spec("PSL", n=2, q=13))
     assert verdict.outcome == "fail"
     assert verdict.class_modes == (("psl2-odd-plus", "non-divisor"),)
 
 
 def test_candidate_gate_floor_kills_g2_at_u3():
-    verdict = candidate_gate(plane_order(3), group_spec("G2", q=7))
+    verdict = _gate(plane_order(3), group_spec("G2", q=7))
     assert verdict.outcome == "fail"
     assert verdict.floor == 19608 and verdict.floor_ok is False
     # the class divides through, so only the index floor fails
     assert ("g2", "pass") in verdict.class_modes
-    relaxed = candidate_gate(plane_order(3), group_spec("G2", q=7),
-                             apply_index_floor=False)
+    relaxed = _gate(plane_order(3), group_spec("G2", q=7), apply_index_floor=False)
     assert relaxed.outcome == "pass"
 
 
 def test_candidate_gate_uncovered_family():
-    verdict = candidate_gate(plane_order(3), group_spec("A", n=7))
+    verdict = _gate(plane_order(3), group_spec("A", n=7))
     assert verdict.outcome == "uncovered"
     assert verdict.class_modes == ()
 
@@ -76,10 +83,17 @@ def test_uncovered_candidate_does_not_eliminate():
     assert all(r.survived for r in rows)
 
 
+def _forbidden_prime_power(n):
+    # n is a proper prime power iff some exact k-th root, k >= 2, is prime;
+    # 343 is the one allowed
+    roots = (nth_root(n, k) for k in range(2, n.bit_length() + 1))
+    return n != 343 and any(exact and is_prime(r) for r, exact in roots)
+
+
 def test_survived_matches_independent_recomputation():
     for row in sieve_orders(2, 2000):
         expected = (admissible_index(row.v)
-                    and ljunggren_classify(row.u) is not LjunggrenClass.OTHER_PRIME_POWER
+                    and not _forbidden_prime_power(row.u * row.u + row.u + 1)
                     and all(row.v // p**e > 8 * p**e or p**e == 343
                             for p, e in row.v_factors.factors if e >= 2))
         assert row.survived == expected, row.u
@@ -95,9 +109,10 @@ def test_kantor_filter_fires_on_repeated_primes():
         assert row.survived
 
 
-@pytest.mark.parametrize("u", [2, 18, 19, 950001, 950002])
+@pytest.mark.parametrize("u", [2, 4, 18, 19, 950001, 950002])
 def test_row_never_factors_whole_v(monkeypatch, u):
-    # a row reads v's factorization off the two coprime halves
+    # a row reads v's factorization off the two coprime halves, and
+    # factors each of them once
     real = planesieve.exactmath.factorize
     seen = []
 
@@ -109,6 +124,25 @@ def test_row_never_factors_whole_v(monkeypatch, u):
     monkeypatch.setattr(planesieve.plane, "factorize", spy)
     sieve_orders(u, u)
     assert seen and max(seen) <= u * u + u + 1
+    assert len(seen) == len(set(seen)), seen
+
+
+def test_candidate_data_evaluated_once_per_scan(monkeypatch):
+    calls = {"involution_class_size": 0, "min_proper_index": 0}
+
+    def counting(name):
+        real = getattr(planesieve.scan, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(planesieve.scan, name, counting(name))
+    sieve_orders(2, 200, [group_spec("PSL", n=2, q=13), group_spec("G2", q=7),
+                          group_spec("PSU", n=5, q=7)])
+    assert calls == {"involution_class_size": 3, "min_proper_index": 3}
 
 
 def test_sieve_is_pure():
