@@ -19,12 +19,12 @@ from itertools import permutations
 from math import comb, gcd, isqrt, prod
 
 from .catalog import classes_for, involution_class_size
-from .exactmath import (factorize, gaussian_binomial, geom_sum, is_prime,
-                        is_prime_power, nth_root, small_primes)
+from .exactmath import (factorize, gaussian_binomial, geom_sum, is_prime_power,
+                        small_primes)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck
-from .plane import (LjunggrenClass, admissible_index, involution_counts,
-                    ljunggren_classify, quadratic_ratio_root)
+from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
+                    involution_counts, ljunggren_classify, quadratic_ratio_root)
 
 _FACTOR_CAP = 10**18
 
@@ -80,22 +80,6 @@ def _cyclotomic_at_two(d: int) -> int:
     return num // den
 
 
-def _prime_power_probe(n: int) -> tuple[int, int] | None:
-    """(p, a) when n is a prime power, found by root extraction alone so
-    it stays cheap on numbers too large to factor."""
-    if n < 2:
-        return None
-    if is_prime(n):
-        return (n, 1)
-    for k in range(2, n.bit_length() + 1):
-        root, exact = nth_root(n, k)
-        if root < 2:
-            break
-        if exact and is_prime(root):
-            return (root, k)
-    return None
-
-
 def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
     """Whether every prime divisor of n other than 3 is 1 mod 3.
 
@@ -115,9 +99,7 @@ def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
         return True
     if n % 3 == 2:
         return False
-    if is_prime(n):
-        return n % 3 == 1
-    pp = _prime_power_probe(n)
+    pp = is_prime_power(n)
     if pp is not None:
         return pp[0] % 3 == 1
     if n <= _FACTOR_CAP:
@@ -692,7 +674,7 @@ def _sp_n6(_bound: int | None) -> tuple[bool, list]:
         expect("middle-p-part-gap", (q4 + 3 * q2 + 3) % q4 != 0 and gcd(n2, q) == 1)
         expect("divisor-third", n2 % 3 == 0)
         third = n2 // 3
-        expect("small-ratio-v-gap", third * (third + 2 * isqrt(third) + 2) < n_g)
+        expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
         ok &= confirm()
     return ok, witnesses
 
@@ -809,7 +791,7 @@ def _e6_minus(_bound: int | None) -> tuple[bool, list]:
         expect("spin-v-gap", 32 * q16 < lm)
         cap = 4 * q16 + 4 * q12 + 4 * q8
         expect("other-class-ratio-cap", n_g1 <= r_floor * cap)
-        d_top = cap + 2 * isqrt(cap) + 2
+        d_top = fixed_count_bound(cap)
         expect("d-top", d_top == 4 * q16 + 4 * q12 + 8 * q8 + 2 * q4 + 2)
         expect("v-below-19", cap * d_top < 19 * lm)
         expect("three-part", lm % 3 == 0 and lm % 9 != 0)
@@ -817,10 +799,10 @@ def _e6_minus(_bound: int | None) -> tuple[bool, list]:
         expect("multipliers", mults == [1, 7, 13])
         expect("unit-multiplier-cofactor", lm % q16 == 0 and lm // q16 < 8 * q16)
         n_prime = (q * q - q + 1) * (q**6 - q**3 + 1) * (q8 + q4 + 1)
-        expect("p-free-window", 2 * q16 > n_prime + 2 * isqrt(n_prime) + 2)
+        expect("p-free-window", 2 * q16 > fixed_count_bound(n_prime))
         expect("q16-not-quadratic", quadratic_ratio_root(q16) is None)
         expect("q16-proper-power-excluded", is_prime_power(q16)[1] > 1 and q16 != 343)
-        window_top = 3 * q16 * (3 * q16 + 2 * isqrt(3 * q16) + 2)
+        window_top = 3 * q16 * fixed_count_bound(3 * q16)
         expect("window-above-7", 7 * lm < 9 * q**32)
         expect("window-below-13", window_top < 13 * lm)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
@@ -841,12 +823,12 @@ def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
         expect("floor-integral", r_num % 4 == 0)
         r_floor = 1 + r_num // 4
         expect("ratio-cap", n_g < r_floor * 7 * q8)
-        expect("p-free-window", n4 + 2 * isqrt(n4) + 2 < 3 * q8)
+        expect("p-free-window", fixed_count_bound(n4) < 3 * q8)
         expect("q8-not-quadratic", quadratic_ratio_root(q8) is None)
         expect("q8-proper-power-excluded", is_prime_power(q8)[1] > 1 and q8 != 343)
         expect("divisor-third", n4 % 3 == 0)
         third = n4 // 3
-        window_top = 3 * q8 + 2 * isqrt(3 * q8) + 2
+        window_top = fixed_count_bound(3 * q8)
         expect("seven-below-window", 7 * third < 3 * q8)
         expect("thirteen-above-window", 13 * third > window_top)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
@@ -869,7 +851,7 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
         expect("ratio-cap", 4 * q2 * n2 < 7 * q4 * (q - 1) ** 2)
         expect("q4-not-quadratic", quadratic_ratio_root(q4) is None)
         expect("q4-proper-power-excluded", is_prime_power(q4)[1] > 1 and q4 != 343)
-        window_top = 3 * q4 * (3 * q4 + 2 * isqrt(3 * q4) + 2)
+        window_top = 3 * q4 * fixed_count_bound(3 * q4)
         expect("multiplier-below-12", window_top < 12 * q4 * n2)
         expect("divisor-third", n2 % 3 == 0)
         expect("seven-fixed-count-small", 7 * n2 < 9 * q4)
@@ -878,7 +860,7 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
         expect("middle-fixed-count", (q2 + 1) ** 2 + (q2 + 1) + 1 == d_mid)
         expect("middle-p-part-gap", (n2 * d_mid) % q == 3 and gcd(n2, q) == 1)
         third = n2 // 3
-        expect("small-ratio-v-gap", third * (third + 2 * isqrt(third) + 2) < n_g)
+        expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
         ok &= confirm()
     return ok, witnesses
 
@@ -903,7 +885,7 @@ def _f4_cent(_bound: int | None) -> tuple[bool, list]:
         expect("five-inadmissible", not admissible_index(5))
         ratio_cap = 2 * q4 * (q4 + 3)
         expect("ratio-cap", n_g <= floor * ratio_cap)
-        v_top = ratio_cap * (ratio_cap + 2 * isqrt(ratio_cap) + 2)
+        v_top = ratio_cap * fixed_count_bound(ratio_cap)
         expect("v-below-7", v_top < 7 * n_g)
         ok &= confirm()
     return ok, witnesses
@@ -947,35 +929,36 @@ def _e_char2_parab(bound: int | None) -> tuple[bool, list]:
 def _ljunggren_scan(bound: int | None) -> tuple[bool, list]:
     u_max = bound or 10**6
     v_max = u_max * u_max + u_max + 1
-    proper_powers = set()
-    for p in small_primes(isqrt(v_max) + 1):
+    # Walk the proper prime powers up to v_max; u**2 + u + 1 = w**2 - w + 1
+    # with w = u + 1, so quadratic_ratio_root picks out the values hit.
+    hits = {}
+    for p in small_primes(isqrt(v_max)):
         value = p * p
         while value <= v_max:
-            proper_powers.add(value)
+            w = quadratic_ratio_root(value)
+            if w is not None:
+                hits[w - 1] = value
             value *= p
     ok = True
     witnesses = []
     seven_cubed_at = None
-    for u in range(1, u_max + 1):
-        value = u * u + u + 1
-        if value in proper_powers:
-            if value == 343:
-                seven_cubed_at = u
-            else:
-                ok = False
-                witnesses.append(("unexpected-proper-power", u, value))
+    for u, value in sorted(hits.items()):
+        if value == 343:
+            seven_cubed_at = u
+        else:
+            ok = False
+            witnesses.append(("unexpected-proper-power", u, value))
     if u_max >= 18 and seven_cubed_at != 18:
         ok = False
         witnesses.append(("missing-exceptional-value", seven_cubed_at))
 
     for u in range(1, min(u_max, 2000) + 1):
         cls = ljunggren_classify(u)
-        value = u * u + u + 1
-        in_set = value in proper_powers
-        if (cls is LjunggrenClass.SEVEN_CUBED) != (in_set and value == 343):
+        hit = hits.get(u)
+        if (cls is LjunggrenClass.SEVEN_CUBED) != (hit == 343):
             ok = False
             witnesses.append(("oracle-mismatch", u, cls.value))
-        if (cls is LjunggrenClass.OTHER_PRIME_POWER) != (in_set and value != 343):
+        if (cls is LjunggrenClass.OTHER_PRIME_POWER) != (hit not in (None, 343)):
             ok = False
             witnesses.append(("oracle-mismatch", u, cls.value))
     if ok:

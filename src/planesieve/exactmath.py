@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10_000
@@ -29,7 +30,7 @@ def _sieve(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), flags))
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
@@ -171,12 +172,19 @@ def merge_factorizations(*parts: Factorization) -> Factorization:
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, a) with p**a == n and p prime, or None.  Requires n >= 2."""
+    """(p, a) with p**a == n and p prime, or None.  Requires n >= 2.
+    Found by exact root extraction alone, never by factoring, so it stays
+    cheap on numbers too large to factor."""
     if n < 2:
         raise ValueError(f"is_prime_power expects n >= 2, got {n}")
-    f = factorize(n)
-    if len(f.factors) == 1:
-        return f.factors[0]
+    if is_prime(n):
+        return (n, 1)
+    for k in range(2, n.bit_length() + 1):
+        root, exact = nth_root(n, k)
+        if root < 2:
+            break
+        if exact and is_prime(root):
+            return (root, k)
     return None
 
 

@@ -152,6 +152,12 @@ def involution_counts(n_g: int, r_g: int) -> InvolutionCount | None:
     return InvolutionCount(n_g=n_g, r_g=r_g, ratio=ratio, u=u, d_g=u * u + u + 1)
 
 
+def fixed_count_bound(ratio: int) -> int:
+    """Upper bound ratio + 2*isqrt(ratio) + 2 on u**2 + u + 1 for every
+    u >= 1 with u**2 - u + 1 <= ratio (such u have u - 1 <= isqrt(ratio))."""
+    return ratio + 2 * isqrt(ratio) + 2
+
+
 def largest_prime_part_bound(c: int, p: int, a: int, m: int) -> int:
     """Bound max(p**a, m + 2*sqrt(m) + 2) on the p-part of v for a class
     count 2**c * p**a * m with m odd and coprime to p."""
@@ -163,4 +169,4 @@ def largest_prime_part_bound(c: int, p: int, a: int, m: int) -> int:
         raise ValueError(f"largest_prime_part_bound expects odd m >= 1, got {m}")
     if m % p == 0:
         raise ValueError(f"largest_prime_part_bound expects gcd(p, m) = 1, got p={p}, m={m}")
-    return max(p**a, m + 2 * isqrt(m) + 2)
+    return max(p**a, fixed_count_bound(m))

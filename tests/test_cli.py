@@ -3,9 +3,14 @@ record stream."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planesieve
 from planesieve.cli import main
 
 
@@ -175,3 +180,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# (10**20 + 39) * (10**20 + 129): a semiprime with two 21-digit factors,
+# far too large for Pollard rho to split in reasonable time.
+_HARD_SEMIPRIME = "10000000000000000016800000000000000005031"
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "PSL", "2", _HARD_SEMIPRIME],
+    ["scan", "--u-min", "2", "--u-max", "3", "--candidates", f"PSL 2 {_HARD_SEMIPRIME}"],
+])
+def test_group_q_validated_in_bounded_time(argv):
+    src = str(Path(planesieve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "is not a prime power" in proc.stderr

@@ -122,6 +122,19 @@ def test_is_prime_power_rejects_mixed():
         assert is_prime_power(n) is None
 
 
+def test_is_prime_power_never_factors(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("is_prime_power must not factor")
+
+    monkeypatch.setattr("planesieve.exactmath.factorize", forbidden)
+    monkeypatch.setattr("planesieve.exactmath._brent_rho", forbidden)
+    assert is_prime_power((10**20 + 39) * (10**20 + 129)) is None
+    assert is_prime_power(6**20) is None
+    assert is_prime_power(343) == (7, 3)
+    assert is_prime_power(13**16) == (13, 16)
+    assert is_prime_power(2**61 - 1) == (2**61 - 1, 1)
+
+
 def test_nth_root_exact_cases():
     rng = random.Random(11)
     for _ in range(150):

@@ -54,6 +54,17 @@ def test_bound_equal_to_default_is_full():
     assert res.bound is None
 
 
+@pytest.mark.parametrize("bound,verdict,scanned", [
+    (18, Verdict.INCONCLUSIVE, ("scanned", 1, 18, "cross-checked", 18)),
+    (2000, Verdict.INCONCLUSIVE, ("scanned", 1, 2000, "cross-checked", 2000)),
+    (None, Verdict.ELIMINATED, ("scanned", 1, 1000000, "cross-checked", 2000)),
+])
+def test_ljunggren_scan_witnesses(bound, verdict, scanned):
+    res = ledger.replay("LJUNGGREN-SCAN", bound=bound)
+    assert res.verdict is verdict
+    assert res.witnesses == (("unique-proper-power", 18, 343), scanned)
+
+
 def test_bound_only_tightens():
     res = ledger.replay("ALT-BOUND", bound=10**9)
     assert res.verdict is Verdict.ELIMINATED

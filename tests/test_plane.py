@@ -7,7 +7,7 @@ import pytest
 
 from planesieve.exactmath import factorize, is_prime_power
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
-                              involution_counts, kantor_inequality_holds,
+                              fixed_count_bound, involution_counts, kantor_inequality_holds,
                               largest_prime_part_bound, ljunggren_classify,
                               plane_order, quadratic_ratio_root)
 
@@ -148,6 +148,12 @@ def test_involution_counts_absences():
     assert involution_counts(91, 91) is None      # ratio 1 needs u = 1
     assert involution_counts(100, 10) is None     # 10 is not u^2-u+1
     assert involution_counts(105, 15).v == 91     # the degree-7 chain
+
+
+def test_fixed_count_bound_brute_force():
+    for ratio in range(1, 10**4 + 1):
+        us = [u for u in range(1, ratio + 2) if u * u - u + 1 <= ratio]
+        assert max(u * u + u + 1 for u in us) <= fixed_count_bound(ratio), ratio
 
 
 def test_largest_prime_part_bound():
