@@ -14,13 +14,12 @@ elimination.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import permutations
 from math import comb, gcd, isqrt, prod
 
 from .catalog import classes_for, involution_class_size
-from .exactmath import (factorize, gaussian_binomial, geom_sum, is_prime_power,
-                        small_primes)
+from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
+                        is_prime_power, small_primes)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck
 from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
@@ -47,37 +46,6 @@ def _v3(n: int) -> int:
         n //= 3
         e += 1
     return e
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def _cyclotomic_at_two(d: int) -> int:
-    """The d-th cyclotomic polynomial evaluated at 2."""
-    if d == 1:
-        return 1
-    num = den = 1
-    for e in _divisors(d):
-        mu = _mobius(d // e)
-        if mu == 1:
-            num *= 2**e - 1
-        elif mu == -1:
-            den *= 2**e - 1
-    assert num % den == 0
-    return num // den
 
 
 def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
@@ -521,20 +489,6 @@ def _unitary_first_index(a: int, n: int) -> int:
     return value // (q * q - 1)
 
 
-def _unitary_net_pieces(a: int, n: int) -> list[int]:
-    n_even, n_odd = (n, n - 1) if n % 2 == 0 else (n - 1, n)
-    net: Counter = Counter()
-    for d in _divisors(a * n_even):
-        net[d] += 1
-    for d in _divisors(2 * a * n_odd):
-        if (a * n_odd) % d != 0:
-            net[d] += 1
-    for d in _divisors(2 * a):
-        net[d] -= 1
-    assert all(c in (0, 1) for c in net.values())
-    return sorted(d for d, c in net.items() if c == 1)
-
-
 def _u_parab_mod(bound: int | None) -> tuple[bool, list]:
     n_max = bound or 50
     ok = True
@@ -544,9 +498,16 @@ def _u_parab_mod(bound: int | None) -> tuple[bool, list]:
     fail_count = 0
 
     for a in (1, 3, 5, 7, 9):
+        # index = (q^n_even - 1)/(q^2 - 1) * (q^n_odd + 1) with q = 2^a, split
+        # into the values Phi_d(2): the pieces of 2^(a n_even) - 1 less those
+        # of 2^(2a) - 1, then the plus-pieces of 2^(a n_odd) + 1
+        q_squared = cyclotomic_pieces(2, 2 * a)
         for n in range(3, n_max + 1):
-            pieces = _unitary_net_pieces(a, n)
-            values = [_cyclotomic_at_two(d) for d in pieces]
+            n_even, n_odd = (n, n - 1) if n % 2 == 0 else (n - 1, n)
+            pieces = {d: x for d, x in cyclotomic_pieces(2, a * n_even).items()
+                      if d not in q_squared}
+            pieces |= cyclotomic_pieces(2, a * n_odd, plus=True)
+            values = [pieces[d] for d in sorted(pieces)]
             index = _unitary_first_index(a, n)
             if prod(values) != index:
                 ok = False
@@ -561,8 +522,7 @@ def _u_parab_mod(bound: int | None) -> tuple[bool, list]:
             if v3 >= 2:
                 fail_count += 1
                 continue
-            bad = [d for d, x in zip(pieces, values) if x % 3 == 2]
-            if bad:
+            if any(x % 3 == 2 for x in values):
                 fail_count += 1
                 continue
             status = "pass"

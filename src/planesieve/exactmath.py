@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: factorization, prime powers, geometric sums.
+"""Exact integer arithmetic: factorization, prime powers, geometric sums,
+and the cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1.
 
 Everything here is deterministic and exact.  No floats anywhere: the
 comparisons done elsewhere in the package rely on these primitives never
@@ -213,6 +214,32 @@ def geom_sum(q: int, k: int, step: int = 1) -> int:
     num = base ** (k + 1) - 1
     assert num % (base - 1) == 0
     return num // (base - 1)
+
+
+def cyclotomic_pieces(x: int, k: int, plus: bool = False) -> dict[int, int]:
+    """{d: Phi_d(x)} in increasing d, the cyclotomic values whose product
+    is x**k - 1 (d | k), or x**k + 1 when plus is set (d | 2k, d not
+    dividing k).
+
+    Only k (2k when plus is set) is factored.  Each Phi_d(x) is x**d - 1
+    divided by the Phi_e(x) of the proper divisors e of d, so every
+    division is exact.
+    """
+    if x < 2:
+        raise ValueError(f"cyclotomic_pieces expects x >= 2, got {x}")
+    if k < 1:
+        raise ValueError(f"cyclotomic_pieces expects k >= 1, got {k}")
+    divisors = [1]
+    for p, e in factorize(2 * k if plus else k).factors:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    values: dict[int, int] = {}
+    for d in sorted(divisors):
+        value = x**d - 1
+        for e, phi in values.items():
+            if d % e == 0:
+                value //= phi
+        values[d] = value
+    return {d: value for d, value in values.items() if k % d} if plus else values
 
 
 def gaussian_binomial(n: int, m: int, q: int) -> int:

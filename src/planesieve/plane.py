@@ -115,9 +115,15 @@ def kantor_inequality_holds(p: int, a: int, m: int, u: int) -> bool:
     v = (u * u + u + 1) * (u * u - u + 1)
     if p**a * m != v:
         raise ValueError(f"p**a * m = {p**a * m} does not match v(u) = {v}")
-    if m > 8 * p**a:
-        return True
-    return p**a == 343 and 343 in (u * u + u + 1, u * u - u + 1)
+    return kantor_cofactor_holds(p**a, m, u)
+
+
+def kantor_cofactor_holds(prime_power: int, m: int, u: int) -> bool:
+    """The inequality of kantor_inequality_holds for v(u) = prime_power * m,
+    with the decomposition taken as given (such as one read off
+    PlaneOrder.v_factors): m > 8 * prime_power, or prime_power is 343 and
+    coincides with u**2 + u + 1 or u**2 - u + 1."""
+    return m > 8 * prime_power or (prime_power == 343 and 343 in (u * u + u + 1, u * u - u + 1))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from math import gcd
 from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
 from .groups import GroupSpec, min_proper_index
-from .plane import (LjunggrenClass, PlaneOrder, admissible_index, kantor_inequality_holds,
+from .plane import (LjunggrenClass, PlaneOrder, admissible_index, kantor_cofactor_holds,
                     ljunggren_classify, plane_order)
 
 U_CAP = 10**6
@@ -29,7 +29,7 @@ class GateVerdict:
     class_modes records, per catalog involution class, "pass" (the
     class size is a multiple of u^2-u+1, so r = class_size/(u^2-u+1)
     makes the counting identity land exactly on v) or "non-divisor".
-    floor_ok reports the optional index-floor comparison v > floor;
+    floor_ok reports the index-floor comparison v > floor;
     None means no floor is available for the family.
     """
 
@@ -70,26 +70,23 @@ def prepare_candidate(spec: GroupSpec) -> Candidate:
                      floor=min_proper_index(spec) if sizes else None)
 
 
-def candidate_gate(plane: PlaneOrder, spec: GroupSpec | Candidate, *,
-                   apply_index_floor: bool = True) -> GateVerdict:
-    """Test whether any catalog involution class of spec admits the
-    counting identity v = (n_g/r_g)(u^2+u+1) at this plane order.  spec
-    may be given as its precomputed Candidate, as sieve_orders does, so
-    that only the divisibility by u^2-u+1 is left to each row."""
-    cand = spec if isinstance(spec, Candidate) else prepare_candidate(spec)
+def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
+    """Test whether any catalog involution class of the candidate admits
+    the counting identity v = (n_g/r_g)(u^2+u+1) at this plane order.
+    The candidate's data is precomputed, so only the divisibility by
+    u^2-u+1 is left to each row."""
     if not cand.sizes:
         return GateVerdict(spec=cand.name, outcome="uncovered", class_modes=())
 
     ratio = plane.factor_minus
     modes = tuple((label, "non-divisor" if n_g % ratio else "pass") for label, n_g in cand.sizes)
     witness_r = next((n_g // ratio for _, n_g in cand.sizes if n_g % ratio == 0), None)
-    floor = cand.floor if apply_index_floor else None
-    floor_ok = None if floor is None else plane.v > floor
+    floor_ok = None if cand.floor is None else plane.v > cand.floor
 
     passed = witness_r is not None and floor_ok is not False
     return GateVerdict(spec=cand.name, outcome="pass" if passed else "fail",
                        class_modes=modes, witness_r=witness_r,
-                       floor=floor, floor_ok=floor_ok)
+                       floor=cand.floor, floor_ok=floor_ok)
 
 
 def _row(u: int, candidates: tuple[Candidate, ...]) -> SieveRow:
@@ -105,7 +102,7 @@ def _row(u: int, candidates: tuple[Candidate, ...]) -> SieveRow:
     if not repeated:
         trace.append(("kantor-not-applicable", True))
     else:
-        holds = all(kantor_inequality_holds(p, e, plane.v // p**e, u) for p, e in repeated)
+        holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, u) for p, e in repeated)
         trace.append(("kantor", holds))
 
     for cand in candidates:

@@ -113,3 +113,30 @@ def a7_double_transposition_counts():
     a5 = sum(1 for sigma in permutations(range(5))
              if _parity(sigma) == 0 and _cycle_lengths(sigma + (5, 6)) == double)
     return total, s5, a6, a5
+
+
+def _mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def cyclotomic_value(d, x):
+    """Phi_d(x) as the Moebius product of (x**e - 1)**mu(d/e) over the
+    divisors e of d, found by trial division."""
+    num = den = 1
+    for e in range(1, d + 1):
+        if d % e == 0:
+            mu = _mobius(d // e)
+            if mu == 1:
+                num *= x**e - 1
+            elif mu == -1:
+                den *= x**e - 1
+    assert num % den == 0
+    return num // den

@@ -1,17 +1,17 @@
 """Arithmetic primitives against independent small-scale oracles."""
 
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesieve.exactmath import (Factorization, factorize, gaussian_binomial,
-                                  geom_sum, is_prime, is_prime_power,
+from planesieve.exactmath import (Factorization, cyclotomic_pieces, factorize,
+                                  gaussian_binomial, geom_sum, is_prime, is_prime_power,
                                   merge_factorizations, nth_root, small_primes)
 
-from _oracles import brute_subspace_count
+from _oracles import brute_subspace_count, cyclotomic_value
 
 
 def _reference_sieve(limit):
@@ -195,6 +195,47 @@ def test_gaussian_binomial_edges():
     assert gaussian_binomial(5, 1, 7) == geom_sum(7, 4)
     with pytest.raises(ValueError):
         gaussian_binomial(2, 3, 2)
+
+
+_CYCLOTOMIC_BASES = (2, 3, 7, 1024)
+
+
+def test_cyclotomic_pieces_multiply_to_both_halves():
+    for x in _CYCLOTOMIC_BASES:
+        for k in range(1, 121):
+            minus = cyclotomic_pieces(x, k)
+            plus = cyclotomic_pieces(x, k, plus=True)
+            assert list(minus) == [d for d in range(1, k + 1) if k % d == 0]
+            assert list(plus) == [d for d in range(1, 2 * k + 1) if (2 * k) % d == 0 and k % d]
+            assert prod(minus.values()) == x**k - 1
+            assert prod(plus.values()) == x**k + 1
+
+
+def test_cyclotomic_pieces_match_moebius_oracle():
+    for x in _CYCLOTOMIC_BASES:
+        for k in range(1, 121):
+            for d, value in (cyclotomic_pieces(x, k) | cyclotomic_pieces(x, k, plus=True)).items():
+                assert value == cyclotomic_value(d, x), (x, k, d)
+
+
+def test_cyclotomic_pieces_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    variable = sympy.Symbol("X")
+    polys = {}
+    for x in _CYCLOTOMIC_BASES:
+        for k in range(1, 121):
+            for d, value in (cyclotomic_pieces(x, k) | cyclotomic_pieces(x, k, plus=True)).items():
+                if d not in polys:
+                    polys[d] = sympy.cyclotomic_poly(d, variable, polys=True)
+                assert value == polys[d].eval(x), (x, k, d)
+
+
+def test_cyclotomic_pieces_rejects_bad_arguments():
+    for x, k in ((1, 5), (0, 5), (-2, 5), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            cyclotomic_pieces(x, k)
+        with pytest.raises(ValueError):
+            cyclotomic_pieces(x, k, plus=True)
 
 
 def test_factorization_is_immutable():

@@ -2,9 +2,11 @@
 reporting, and the bundled manifest."""
 
 import json
+import sys
 
 import pytest
 
+import planesieve.exactmath
 from planesieve import ledger
 from planesieve.cases import REGISTRY
 from planesieve.ledger import CaseCheck, Verdict
@@ -210,3 +212,34 @@ def test_unitary_screen_witnesses():
     for _, pairs in (("passes", named["passes"]), ("undecided", named["undecided"])):
         for _, n in pairs[0]:
             assert n % 12 == 2
+
+
+@pytest.mark.parametrize("bound,verdict,passes,failures", [
+    (14, Verdict.INCONCLUSIVE, [(1, 14)], 34),
+    (20, Verdict.INCONCLUSIVE, [(1, 14)], 52),
+    (26, Verdict.INCONCLUSIVE, [(1, 14)], 70),
+    (None, Verdict.ELIMINATED, [(1, 14), (1, 38)], 141),
+])
+def test_u_parab_mod_witnesses(bound, verdict, passes, failures):
+    res = ledger.replay("U-PARAB-MOD", bound=bound)
+    assert res.verdict is verdict
+    assert res.witnesses == (("passes", passes), ("undecided", [(7, 14)]),
+                             ("failures", failures), ("empty-columns", 3, 9))
+
+
+def test_u_parab_mod_factors_only_exponents(monkeypatch):
+    # the cyclotomic pieces come from factoring their exponents, not from
+    # factoring divisors again for every piece: at most 3 calls per (a, n)
+    real = planesieve.exactmath.factorize
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("planesieve") and getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", spy)
+    ledger.replay("U-PARAB-MOD")
+    pairs = 5 * (50 - 2)  # a in (1, 3, 5, 7, 9), n in 3..50
+    assert 0 < len(calls) <= 3 * pairs
