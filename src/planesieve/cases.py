@@ -372,8 +372,7 @@ def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
 def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
     ok = True
     witnesses = []
-    candidates = [r * r for _, r, e in _prime_powers(17)
-                  if e == 1 and r % 2 == 1 and r % 3 == 1]
+    candidates = [r * r for r in small_primes(17) if r % 6 == 1]
     if candidates != [49, 169]:
         ok = False
         witnesses.append(("candidate-mismatch", candidates))
@@ -458,7 +457,7 @@ def _psl3_type67(bound: int | None) -> tuple[bool, list]:
     passing = []
     for q, p, _ in _prime_powers(q_max):
         if 24 * (q * q + q + 1) > q**3 - q:
-            passing.append(q)
+            passing.append((q, p))
             if q > 25:
                 ok = False
                 witnesses.append(("pass-above-25", q))
@@ -469,8 +468,7 @@ def _psl3_type67(bound: int | None) -> tuple[bool, list]:
         witnesses.append(("crossover", 25, 15624, ">", 15600))
         if q_max >= 27:
             witnesses.append(("first-fail", 27, 18168, "<=", 19656))
-        odd_one_mod3 = [q for q in passing
-                        if q % 2 == 1 and is_prime_power(q)[0] % 3 == 1]
+        odd_one_mod3 = [q for q, p in passing if q % 2 == 1 and p % 3 == 1]
         if odd_one_mod3 != [7, 13, 19]:
             ok = False
             witnesses.append(("surviving-characteristics-mismatch", odd_one_mod3))

@@ -1,23 +1,25 @@
 """Finite simple group parameters: orders, p-parts, parabolic indices.
 
-GroupSpec is a validated discriminated record.  Orders are the simple
-(adjoint quotient) orders, with the center divisor applied internally;
-p_part is the full power of the defining characteristic.  Parabolic
-indices cover the families where a closed product formula is wired in;
-everything is exact integer arithmetic.
+GroupSpec is a validated discriminated record.  Each Lie-type family
+states its simple (adjoint quotient) order once, as a record
+(N, terms, divisor, center) with
+
+    order = q^N * prod_terms(q^d - e) / prod_divisor(q^d - e) / center
+
+(Carter, Simple Groups of Lie Type, 1972).  order reads the record, and
+p_part, the full power of the defining characteristic, is q^N with the
+center's p-part removed.  Parabolic indices cover the families where a
+closed product formula is wired in, as exact ratios of the same q^d - e
+factors; everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial, gcd
 
 from .exactmath import gaussian_binomial, is_prime_power
-
-FAMILIES = (
-    "A", "SPOR", "PSL", "PSU", "PSp", "POmega",
-    "G2", "F4", "E6", "E7", "E8", "2B2", "2G2", "3D4", "2F4",
-)
 
 # Orders of the sporadic groups, keyed by canonical name.
 SPORADIC_ORDERS: dict[str, int] = {
@@ -175,91 +177,75 @@ def _sign(eps: str) -> int:
     return {"+": 1, "-": -1}[eps]
 
 
+def _ratio(q: int, num: Iterable[tuple[int, int]], den: Iterable[tuple[int, int]]) -> int:
+    """prod(q^d - e for (d, e) in num) / prod(q^d - e for (d, e) in den),
+    checked to be exact."""
+    top = bottom = 1
+    for d, e in num:
+        top *= q**d - e
+    for d, e in den:
+        bottom *= q**d - e
+    assert top % bottom == 0
+    return top // bottom
+
+
+# (N, terms, divisor) of the exceptional families other than E6; the
+# 3D4 factor q^8 + q^4 + 1 is (q^12 - 1)/(q^4 - 1).
+_EXCEPTIONAL_RECORDS = {
+    "G2": (6, ((6, 1), (2, 1)), ()),
+    "F4": (24, ((12, 1), (8, 1), (6, 1), (2, 1)), ()),
+    "E7": (63, tuple((d, 1) for d in (18, 14, 12, 10, 8, 6, 2)), ()),
+    "E8": (120, tuple((d, 1) for d in (30, 24, 20, 18, 14, 12, 8, 2)), ()),
+    "2B2": (2, ((2, -1), (1, 1)), ()),
+    "2G2": (3, ((3, -1), (1, 1)), ()),
+    "3D4": (12, ((12, 1), (6, 1), (2, 1)), ((4, 1),)),
+    "2F4": (12, ((6, -1), (4, 1), (3, -1), (1, 1)), ()),
+}
+
+
+def _order_record(spec: GroupSpec) -> tuple[int, tuple, tuple, int]:
+    """(N, terms, divisor, center) with order = q^N * prod_terms(q^d - e)
+    / prod_divisor(q^d - e) / center."""
+    fam, q, n = spec.family, spec.q, spec.n
+    if fam in ("PSL", "PSU"):
+        s = 1 if fam == "PSL" else -1
+        return n * (n - 1) // 2, tuple((i, s**i) for i in range(2, n + 1)), (), gcd(n, q - s)
+    if fam == "PSp" or (fam == "POmega" and spec.eps == "o"):
+        # PSp(2m, q) and POmega(2m+1, q) have the same order for odd q.
+        m = n // 2
+        return m * m, tuple((2 * i, 1) for i in range(1, m + 1)), (), gcd(2, q - 1)
+    if fam == "POmega":
+        m, s = n // 2, _sign(spec.eps)
+        terms = ((m, s),) + tuple((2 * i, 1) for i in range(1, m))
+        return m * (m - 1), terms, (), gcd(4, q**m - s)
+    if fam == "E6":
+        s = _sign(spec.eps)
+        return 36, ((12, 1), (9, s), (8, 1), (6, 1), (5, s), (2, 1)), (), gcd(3, q - s)
+    if fam not in _EXCEPTIONAL_RECORDS:
+        raise ValueError(f"unknown family {fam!r}")
+    center = 1
+    if fam == "E7":
+        center = gcd(2, q - 1)
+    elif (fam, q) == ("2F4", 2):
+        center = 2  # names the derived subgroup, which has index 2
+    return (*_EXCEPTIONAL_RECORDS[fam], center)
+
+
 def order(spec: GroupSpec) -> int:
-    q, n = spec.q, spec.n
     if spec.family == "A":
-        return factorial(n) // 2
+        return factorial(spec.n) // 2
     if spec.family == "SPOR":
         return SPORADIC_ORDERS[spec.name]
-    if spec.family == "PSL":
-        out = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            out *= q**i - 1
-        return out // gcd(n, q - 1)
-    if spec.family == "PSU":
-        out = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            out *= q**i - (-1) ** i
-        return out // gcd(n, q + 1)
-    if spec.family == "PSp":
-        m = n // 2
-        out = q ** (m * m)
-        for i in range(1, m + 1):
-            out *= q ** (2 * i) - 1
-        return out // gcd(2, q - 1)
-    if spec.family == "POmega":
-        if spec.eps == "o":
-            m = (n - 1) // 2
-            out = q ** (m * m)
-            for i in range(1, m + 1):
-                out *= q ** (2 * i) - 1
-            return out // 2
-        m = n // 2
-        s = _sign(spec.eps)
-        out = q ** (m * (m - 1)) * (q**m - s)
-        for i in range(1, m):
-            out *= q ** (2 * i) - 1
-        return out // gcd(4, q**m - s)
-    if spec.family == "G2":
-        return q**6 * (q**6 - 1) * (q**2 - 1)
-    if spec.family == "F4":
-        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1)
-    if spec.family == "E6":
-        s = _sign(spec.eps)
-        out = (q**36 * (q**12 - 1) * (q**9 - s) * (q**8 - 1)
-               * (q**6 - 1) * (q**5 - s) * (q**2 - 1))
-        return out // gcd(3, q - s)
-    if spec.family == "E7":
-        out = q**63
-        for i in (18, 14, 12, 10, 8, 6, 2):
-            out *= q**i - 1
-        return out // gcd(2, q - 1)
-    if spec.family == "E8":
-        out = q**120
-        for i in (30, 24, 20, 18, 14, 12, 8, 2):
-            out *= q**i - 1
-        return out
-    if spec.family == "2B2":
-        return q**2 * (q**2 + 1) * (q - 1)
-    if spec.family == "2G2":
-        return q**3 * (q**3 + 1) * (q - 1)
-    if spec.family == "3D4":
-        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
-    if spec.family == "2F4":
-        out = q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-        # q = 2 names the derived subgroup, which has index 2.
-        return out // 2 if q == 2 else out
-    raise ValueError(f"unknown family {spec.family!r}")
-
-
-_P_PART_EXPONENT = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120,
-                    "2B2": 2, "2G2": 3, "3D4": 12, "2F4": 12}
+    q_exp, terms, divisor, center = _order_record(spec)
+    return spec.q**q_exp * _ratio(spec.q, terms, divisor) // center
 
 
 def p_part(spec: GroupSpec) -> int:
     """Full power of the defining characteristic dividing order(spec)."""
     if spec.family in ("A", "SPOR"):
         raise ValueError(f"{spec} has no defining characteristic")
-    q, n = spec.q, spec.n
-    if spec.family in ("PSL", "PSU"):
-        return q ** (n * (n - 1) // 2)
-    if spec.family == "PSp":
-        return q ** ((n // 2) ** 2)
-    if spec.family == "POmega":
-        if spec.eps == "o":
-            return q ** (((n - 1) // 2) ** 2)
-        return q ** ((n // 2) * (n // 2 - 1))
-    return q ** _P_PART_EXPONENT[spec.family]
+    q_exp, _, _, center = _order_record(spec)
+    return spec.q**q_exp // gcd(spec.q**q_exp, center)
 
 
 def parabolic_index(spec: GroupSpec, m: int) -> int:
@@ -273,38 +259,25 @@ def parabolic_index(spec: GroupSpec, m: int) -> int:
     if spec.family == "PSU":
         if not 1 <= m <= n // 2:
             raise ValueError(f"PSU({n},{q}) parabolic range is 1..{n // 2}, got {m}")
-        num = 1
-        for i in range(n - 2 * m + 1, n + 1):
-            num *= q**i - (-1) ** i
-        den = 1
-        for i in range(1, m + 1):
-            den *= q ** (2 * i) - 1
-        assert num % den == 0
-        return num // den
+        return _ratio(q, [(i, (-1) ** i) for i in range(n - 2 * m + 1, n + 1)],
+                      [(2 * i, 1) for i in range(1, m + 1)])
     if spec.family == "PSp":
         k = n // 2
         if not 1 <= m <= k:
             raise ValueError(f"PSp({n},{q}) parabolic range is 1..{k}, got {m}")
-        out = 1
-        for i in range(m):
-            out *= q ** (2 * (k - i)) - 1
-            den = q ** (i + 1) - 1
-            assert out % den == 0
-            out //= den
-        return out
+        return _ratio(q, [(2 * (k - i), 1) for i in range(m)],
+                      [(i, 1) for i in range(1, m + 1)])
     if spec.family == "POmega":
         if m != 1:
             raise ValueError(f"only the point parabolic is wired for {spec}")
         if spec.eps == "o":
-            return (q ** (n - 1) - 1) // (q - 1)
+            return _ratio(q, [(n - 1, 1)], [(1, 1)])
         s = _sign(spec.eps)
-        num = (q ** (n // 2) - s) * (q ** ((n - 2) // 2) + s)
-        assert num % (q - 1) == 0
-        return num // (q - 1)
+        return _ratio(q, [(n // 2, s), ((n - 2) // 2, -s)], [(1, 1)])
     if spec.family == "G2":
         if m not in (1, 2):
             raise ValueError(f"G2 parabolic range is 1..2, got {m}")
-        return (q**6 - 1) // (q - 1)
+        return _ratio(q, [(6, 1)], [(1, 1)])
     raise ValueError(f"parabolic index not wired for family {spec.family}")
 
 
@@ -324,25 +297,21 @@ def min_proper_index(spec: GroupSpec) -> int | None:
     key = (spec.family, spec.n, spec.q)
     if key in _MIN_DEGREE_EXCEPTIONS:
         return _MIN_DEGREE_EXCEPTIONS[key]
-    q, n = spec.q, spec.n
-    if spec.family == "PSL":
-        return (q**n - 1) // (q - 1)
-    if spec.family == "PSU":
+    fam, q = spec.family, spec.q
+    if (fam, q) == ("PSp", 2):
+        m = spec.n // 2
+        return 2 ** (m - 1) * (2**m - 1)
+    if fam == "POmega" and q <= 3 or fam == "G2" and q < 5:
+        return None
+    if fam in ("PSL", "PSU", "PSp", "POmega", "G2"):
         return parabolic_index(spec, 1)
-    if spec.family == "PSp":
-        if q == 2:
-            m = n // 2
-            return 2 ** (m - 1) * (2**m - 1)
-        return (q**n - 1) // (q - 1)
-    if spec.family == "POmega":
-        if q in (2, 3):
-            return None
-        return parabolic_index(spec, 1)
-    if spec.family == "G2":
-        if q < 5:
-            return None
-        return (q**6 - 1) // (q - 1)
     return None
+
+
+# Parameter names of each family, in command-line order.
+_PARAMETERS = {"A": ("n",), "SPOR": ("name",), "PSL": ("n", "q"), "PSU": ("n", "q"),
+               "PSp": ("n", "q"), "POmega": ("n", "q", "eps"), "E6": ("q", "eps"),
+               **dict.fromkeys(("G2", "F4", "E7", "E8", "2B2", "2G2", "3D4", "2F4"), ("q",))}
 
 
 def parse_group(tokens: list[str]) -> GroupSpec:
@@ -356,13 +325,11 @@ def parse_group(tokens: list[str]) -> GroupSpec:
         raise ValueError("empty group description")
     fam = tokens[0]
     rest = tokens[1:]
-    arity = {"A": 1, "SPOR": 1, "PSL": 2, "PSU": 2, "PSp": 2, "POmega": 3,
-             "E6": 2, "G2": 1, "F4": 1, "E7": 1, "E8": 1, "2B2": 1,
-             "2G2": 1, "3D4": 1, "2F4": 1}
-    if fam not in arity:
+    if fam not in _PARAMETERS:
         raise ValueError(f"unknown family {fam!r}")
-    if len(rest) != arity[fam]:
-        raise ValueError(f"{fam} takes {arity[fam]} parameter(s), got {len(rest)}")
+    names = _PARAMETERS[fam]
+    if len(rest) != len(names):
+        raise ValueError(f"{fam} takes {len(names)} parameter(s), got {len(rest)}")
 
     def as_int(token: str) -> int:
         try:
@@ -370,14 +337,5 @@ def parse_group(tokens: list[str]) -> GroupSpec:
         except ValueError:
             raise ValueError(f"expected an integer, got {token!r}") from None
 
-    if fam == "A":
-        return group_spec("A", n=as_int(rest[0]))
-    if fam == "SPOR":
-        return group_spec("SPOR", name=rest[0])
-    if fam in ("PSL", "PSU", "PSp"):
-        return group_spec(fam, n=as_int(rest[0]), q=as_int(rest[1]))
-    if fam == "POmega":
-        return group_spec(fam, n=as_int(rest[0]), q=as_int(rest[1]), eps=rest[2])
-    if fam == "E6":
-        return group_spec(fam, q=as_int(rest[0]), eps=rest[1])
-    return group_spec(fam, q=as_int(rest[0]))
+    return group_spec(fam, **{name: as_int(token) if name in ("n", "q") else token
+                              for name, token in zip(names, rest)})

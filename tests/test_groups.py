@@ -1,11 +1,14 @@
 """Group orders and indices against brute-force matrix enumeration and
 published order values."""
 
+import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planesieve.exactmath import factorize, gaussian_binomial
+from planesieve.exactmath import factorize, gaussian_binomial, is_prime_power
 from planesieve.groups import (SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec,
                                min_proper_index, order, p_part, parabolic_index,
                                parse_group)
@@ -77,6 +80,23 @@ def test_transvection_count_matches_brute_force():
     (["A", "7"], 2520),
     (["SPOR", "M11"], 7920),
     (["SPOR", "J2"], 604800),
+    # ATLAS of Finite Groups (Conway et al., 1985)
+    (["E6", "2", "+"], 214841575522005575270400),
+    (["E6", "2", "-"], 76532479683774853939200),
+    (["F4", "2"], 3311126603366400),
+    (["E7", "2"], 7997476042075799759100487262680802918400),
+    (["E8", "2"], 337804753143634806261388190614085595079991692242467651576160959909068800000),
+    (["POmega", "8", "2", "+"], 174182400),
+    (["POmega", "8", "2", "-"], 197406720),
+    (["POmega", "10", "2", "+"], 23499295948800),
+    (["POmega", "10", "2", "-"], 25015379558400),
+    (["2B2", "32"], 32537600),
+    (["G2", "3"], 4245696),
+    (["PSp", "4", "3"], 25920),
+    (["PSp", "6", "3"], 4585351680),
+    (["PSU", "4", "3"], 3265920),
+    (["PSU", "5", "2"], 13685760),
+    (["PSL", "3", "3"], 5616),
 ])
 def test_known_orders(tokens, expected):
     assert order(parse_group(tokens)) == expected
@@ -84,7 +104,9 @@ def test_known_orders(tokens, expected):
 
 def test_p_part_is_p_valuation_of_order():
     for tokens in (["PSL", "2", "13"], ["PSL", "4", "3"], ["PSp", "4", "7"],
-                   ["PSU", "5", "2"], ["G2", "7"], ["3D4", "2"]):
+                   ["PSU", "5", "2"], ["G2", "7"], ["3D4", "2"], ["2F4", "2"],
+                   ["2F4", "8"], ["E6", "3", "-"], ["POmega", "8", "2", "+"],
+                   ["PSU", "3", "8"]):
         spec = parse_group(tokens)
         value = order(spec)
         expected = spec.p ** factorize(value).exponent_of(spec.p)
@@ -106,9 +128,72 @@ def test_parabolic_index_matches_gaussian_binomial():
     (["PSL", "2", "13"], 1, 14),
     (["PSU", "6", "2"], 1, 693),
     (["G2", "7"], 1, 19608),
+    (["POmega", "8", "2", "+"], 1, 135),
+    (["POmega", "8", "2", "-"], 1, 119),
+    (["POmega", "7", "3", "o"], 1, 364),
+    (["PSp", "6", "2"], 1, 63),
+    (["PSU", "4", "2"], 1, 45),
+    (["PSp", "4", "3"], 1, 40),
+    (["PSp", "4", "3"], 2, 40),
+    (["PSU", "4", "3"], 2, 112),
+    (["PSU", "5", "2"], 2, 297),
 ])
 def test_parabolic_index_known(tokens, m, expected):
     assert parabolic_index(parse_group(tokens), m) == expected
+
+
+def _valid_specs(q_max, n_max):
+    """Every valid Lie-type spec with prime-power q <= q_max and n <= n_max."""
+    params = ([(fam, n, None) for fam in ("PSL", "PSU", "PSp") for n in range(2, n_max + 1)]
+              + [("POmega", n, eps) for n in range(7, n_max + 1) for eps in "+-o"]
+              + [("E6", None, eps) for eps in "+-"]
+              + [(fam, None, None)
+                 for fam in ("G2", "F4", "E7", "E8", "2B2", "2G2", "3D4", "2F4")])
+    specs = []
+    for q in range(2, q_max + 1):
+        if is_prime_power(q) is None:
+            continue
+        for fam, n, eps in params:
+            try:
+                specs.append(group_spec(fam, n=n, q=q, eps=eps))
+            except ValueError:
+                pass
+    return specs
+
+
+def _wired_indices(spec):
+    """(m, parabolic_index(spec, m) or its error text) for m = 1..11."""
+    out = []
+    for m in range(1, 12):
+        try:
+            out.append((m, parabolic_index(spec, m)))
+        except ValueError as exc:
+            out.append((m, str(exc)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_valid_specs(256, 16)))
+@example(group_spec("2F4", q=2))
+def test_p_part_and_parabolic_indices_divide_order(spec):
+    value = order(spec)
+    rest, power = value, 1
+    while rest % spec.p == 0:
+        rest //= spec.p
+        power *= spec.p
+    assert p_part(spec) == power
+    for _, index in _wired_indices(spec):
+        assert isinstance(index, str) or value % index == 0
+
+
+def test_group_arithmetic_golden_digest():
+    # byte-for-byte pin of order, every parabolic index (or its error
+    # text) and min_proper_index over a fixed grid
+    lines = [f"{spec} {order(spec)} {_wired_indices(spec)} {min_proper_index(spec)}\n"
+             for spec in _valid_specs(64, 12)]
+    assert len(lines) == 1117
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "f56813450fd51e48dfffbe63b7277dbf97fb2c9a58ae739344b9ce06a800fbea")
 
 
 def test_min_proper_index_known():
