@@ -1,5 +1,6 @@
-"""Exact integer arithmetic: factorization, prime powers, geometric sums,
-and the cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1.
+"""Exact integer arithmetic: factorization, a root-class sieve factoring
+x**2 + x + 1 over a range of x, prime powers, geometric sums, and the
+cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1.
 
 Everything here is deterministic and exact.  No floats anywhere: the
 comparisons done elsewhere in the package rely on these primitives never
@@ -12,11 +13,13 @@ list above it.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt
 
 _TRIAL_LIMIT = 10_000
+_SIEVE_BLOCK = 2048
 
 # Deterministic witness set for n < 3.3 * 10**24 (covers every value the
 # trial-division stage can leave behind for inputs below ~10**28; larger
@@ -127,15 +130,18 @@ class Factorization:
         return out
 
 
-def _factor_into(n: int, acc: dict[int, int]) -> None:
-    if n == 1:
+def _factor_into(m: int, depth: int, acc: dict[int, int]) -> None:
+    """Add the prime factors of m >= 1 to acc, given that m has no prime
+    factor up to min(depth, isqrt(m)): below (depth + 1)**2 it is 1 or prime,
+    else is_prime decides and rho splits it into parts that keep the premise."""
+    if m == 1:
         return
-    if is_prime(n):
-        acc[n] = acc.get(n, 0) + 1
+    if m < (depth + 1) ** 2 or is_prime(m):
+        acc[m] = acc.get(m, 0) + 1
         return
-    d = _brent_rho(n)
-    _factor_into(d, acc)
-    _factor_into(n // d, acc)
+    d = _brent_rho(m)
+    _factor_into(d, depth, acc)
+    _factor_into(m // d, depth, acc)
 
 
 def factorize(n: int) -> Factorization:
@@ -153,12 +159,40 @@ def factorize(n: int) -> Factorization:
         while m % p == 0:
             acc[p] = acc.get(p, 0) + 1
             m //= p
-    if m > 1:
-        if m < (_TRIAL_LIMIT + 1) ** 2 or is_prime(m):
-            acc[m] = acc.get(m, 0) + 1
-        else:
-            _factor_into(m, acc)
+    _factor_into(m, _TRIAL_LIMIT, acc)
     return Factorization(n, tuple(sorted(acc.items())))
+
+
+def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
+    """Factorizations of Phi_3(x) = x**2 + x + 1 for x = lo, ..., hi, in order.
+
+    A root-class sieve (the sieving step of the quadratic sieve): only 3,
+    at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
+    != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  Primes
+    up to min(10**4, isqrt(Phi_3(hi))) are sieved out block by block, and
+    each cofactor is finished by the rule factorize uses.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
+    depth = min(_TRIAL_LIMIT, isqrt(hi * hi + hi + 1))
+    roots = [(3, 1)]
+    for p in small_primes(depth):
+        if p % 3 == 1:
+            w = next(w for g in count(2) if (w := pow(g, (p - 1) // 3, p)) != 1)
+            roots += [(p, w), (p, p - 1 - w)]
+    for start in range(lo, hi + 1, _SIEVE_BLOCK):
+        xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
+        rest = [x * x + x + 1 for x in xs]
+        found: list[dict[int, int]] = [{} for _ in xs]
+        for p, r in roots:
+            for i in range((r - start) % p, len(xs), p):
+                m, e = rest[i] // p, 1
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                rest[i], found[i][p] = m, e
+        for x, m, acc in zip(xs, rest, found):
+            _factor_into(m, depth, acc)
+            yield Factorization(x * x + x + 1, tuple(sorted(acc.items())))
 
 
 def merge_factorizations(*parts: Factorization) -> Factorization:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
 from math import gcd, isqrt
 
-from .exactmath import Factorization, factorize, is_prime, merge_factorizations
+from .exactmath import (Factorization, factorize, is_prime, merge_factorizations,
+                        phi3_factorizations)
 
 
 @dataclass(frozen=True)
@@ -32,19 +34,28 @@ class PlaneOrder:
     factor_minus: int  # u**2 - u + 1
 
 
+def plane_orders(u_min: int, u_max: int) -> list[PlaneOrder]:
+    """Exact plane-order data for x = u**2, u = u_min, ..., u_max
+    (2 <= u_min <= u_max).  Both halves of each v are read off one sieve
+    pass, and neighbouring rows share a value: u**2 - u + 1 at u is
+    u**2 + u + 1 at u - 1."""
+    if not 2 <= u_min <= u_max:
+        raise ValueError(f"plane_orders expects 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
+    out = []
+    halves = pairwise(phi3_factorizations(u_min - 1, u_max))
+    for u, (minus_factors, plus_factors) in zip(range(u_min, u_max + 1), halves):
+        x, plus, minus = u * u, plus_factors.value, minus_factors.value
+        v = x * x + x + 1
+        assert v == plus * minus and gcd(plus, minus) == 1
+        out.append(PlaneOrder(u=u, x=x, v=v,
+                              v_factors=merge_factorizations(plus_factors, minus_factors),
+                              plus_factors=plus_factors, factor_plus=plus, factor_minus=minus))
+    return out
+
+
 def plane_order(u: int) -> PlaneOrder:
     """Exact plane-order data for square order x = u**2.  Requires u >= 2."""
-    if u < 2:
-        raise ValueError(f"plane_order expects u >= 2, got {u}")
-    x = u * u
-    plus = x + u + 1
-    minus = x - u + 1
-    v = x * x + x + 1
-    assert v == plus * minus and gcd(plus, minus) == 1
-    plus_factors = factorize(plus)
-    v_factors = merge_factorizations(plus_factors, factorize(minus))
-    return PlaneOrder(u=u, x=x, v=v, v_factors=v_factors, plus_factors=plus_factors,
-                      factor_plus=plus, factor_minus=minus)
+    return plane_orders(u, u)[0]
 
 
 def admissible_index(n: int | Factorization) -> bool:

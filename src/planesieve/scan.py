@@ -17,7 +17,7 @@ from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
 from .groups import GroupSpec, min_proper_index
 from .plane import (LjunggrenClass, PlaneOrder, admissible_index, kantor_cofactor_holds,
-                    ljunggren_classify, plane_order)
+                    ljunggren_classify, plane_orders)
 
 U_CAP = 10**6
 
@@ -89,8 +89,7 @@ def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
                        floor=cand.floor, floor_ok=floor_ok)
 
 
-def _row(u: int, candidates: tuple[Candidate, ...]) -> SieveRow:
-    plane = plane_order(u)
+def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
     factors = plane.v_factors
     trace = [("coprime-halves", gcd(plane.factor_plus, plane.factor_minus) == 1),
              ("admissible-value", admissible_index(factors))]
@@ -102,14 +101,14 @@ def _row(u: int, candidates: tuple[Candidate, ...]) -> SieveRow:
     if not repeated:
         trace.append(("kantor-not-applicable", True))
     else:
-        holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, u) for p, e in repeated)
+        holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, plane.u) for p, e in repeated)
         trace.append(("kantor", holds))
 
     for cand in candidates:
         verdict = candidate_gate(plane, cand)
         trace.append((f"candidate-{verdict.spec}", verdict.outcome != "fail"))
 
-    return SieveRow(u=u, v=plane.v, v_factors=factors,
+    return SieveRow(u=plane.u, v=plane.v, v_factors=factors,
                     filter_trace=tuple(trace),
                     survived=all(ok for _, ok in trace))
 
@@ -124,4 +123,4 @@ def sieve_orders(u_min: int, u_max: int,
     if u_max > U_CAP:
         raise ValueError(f"u_max {u_max} exceeds the cap {U_CAP}")
     candidates = tuple(prepare_candidate(spec) for spec in group_candidates or ())
-    return [_row(u, candidates) for u in range(u_min, u_max + 1)]
+    return [_row(plane, candidates) for plane in plane_orders(u_min, u_max)]

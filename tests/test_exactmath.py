@@ -4,12 +4,13 @@ import random
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planesieve.exactmath import (Factorization, cyclotomic_pieces, factorize,
                                   gaussian_binomial, geom_sum, is_prime, is_prime_power,
-                                  merge_factorizations, nth_root, small_primes)
+                                  merge_factorizations, nth_root, phi3_factorizations,
+                                  small_primes)
 
 from _oracles import brute_subspace_count, cyclotomic_value
 
@@ -158,6 +159,47 @@ def test_factorize_reassembles(n):
     f = factorize(n)
     assert f.reassemble() == n
     assert all(is_prime(p) for p, _ in f.factors)
+
+
+def _phi3(x):
+    return x * x + x + 1
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3000), (949_999, 951_000), (999_000, 10**6)])
+def test_phi3_sieve_matches_factorize(lo, hi):
+    # (1, 3000) sieves only to depth isqrt(Phi_3(3000)) = 3000, so every
+    # cofactor there is taken as prime by the (depth + 1)**2 rule
+    got = list(phi3_factorizations(lo, hi))
+    assert [f.value for f in got] == [_phi3(x) for x in range(lo, hi + 1)]
+    assert got == [factorize(_phi3(x)) for x in range(lo, hi + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 10_000), st.integers(1, 10**6)), st.integers(0, 300))
+@example(1, 0)
+@example(1, 300)
+@example(9_700, 300)
+@example(10**6 - 300, 300)
+def test_phi3_sieve_windows(lo, width):
+    # windows ending below x = 10**4 sieve to a depth under 10**4
+    hi = lo + width
+    assert list(phi3_factorizations(lo, hi)) == [factorize(_phi3(x)) for x in range(lo, hi + 1)]
+
+
+def test_phi3_sieve_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    windows = [(0, 400), (999_700, 10**6)]
+    windows += [(lo, lo + 50) for lo in (rng.randrange(1, 10**6) for _ in range(6))]
+    for lo, hi in windows:
+        for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
+            assert f.factors == tuple(sorted(sympy.factorint(_phi3(x)).items())), x
+
+
+def test_phi3_sieve_rejects_bad_windows():
+    for lo, hi in ((-1, 5), (9, 8)):
+        with pytest.raises(ValueError):
+            list(phi3_factorizations(lo, hi))
 
 
 def test_geom_sum_matches_closed_form():

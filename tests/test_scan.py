@@ -117,10 +117,7 @@ def test_rows_never_reprove_primes_of_v(monkeypatch):
     assert ("kantor", True) in sieve_orders(67, 67)[0].filter_trace
 
 
-@pytest.mark.parametrize("u", [2, 4, 18, 19, 950001, 950002])
-def test_row_never_factors_whole_v(monkeypatch, u):
-    # a row reads v's factorization off the two coprime halves, and
-    # factors each of them once
+def _spy_factorize(monkeypatch):
     real = planesieve.exactmath.factorize
     seen = []
 
@@ -130,9 +127,22 @@ def test_row_never_factors_whole_v(monkeypatch, u):
 
     monkeypatch.setattr(planesieve.exactmath, "factorize", spy)
     monkeypatch.setattr(planesieve.plane, "factorize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("u", [2, 4, 18, 19, 950001, 950002])
+def test_row_never_factors_whole_v(monkeypatch, u):
+    # a row reads both halves of v off one sieve pass over x**2 + x + 1,
+    # so factorize is never called, neither on v nor on a half
+    seen = _spy_factorize(monkeypatch)
     sieve_orders(u, u)
-    assert seen and max(seen) <= u * u + u + 1
-    assert len(seen) == len(set(seen)), seen
+    assert seen == []
+
+
+def test_window_never_factors(monkeypatch):
+    seen = _spy_factorize(monkeypatch)
+    assert len(sieve_orders(950001, 950100)) == 100
+    assert seen == []
 
 
 def test_candidate_data_evaluated_once_per_scan(monkeypatch):
