@@ -19,7 +19,8 @@ from typing import Sequence
 from . import __version__, ledger
 from .catalog import catalog_records
 from .exactmath import Factorization, factorize
-from .groups import GroupSpec, parse_group, order, parabolic_index
+from .groups import (GroupSpec, order, order_factorization, parabolic_index,
+                     parabolic_index_factorization, parse_group)
 from .scan import U_CAP, sieve_orders
 
 Q_CAP = 2**10
@@ -114,17 +115,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+# order and index format the value before anything is factored, so a value
+# past the int-to-str digit limit fails at once.
 def _cmd_order(args: argparse.Namespace) -> int:
     spec = _check_caps(parse_group(args.group))
-    value = order(spec)
-    print(f"|{spec}| = {value} = {_fmt_factors(factorize(value))}")
+    head = f"|{spec}| = {order(spec)} = "
+    print(head + _fmt_factors(order_factorization(spec)))
     return 0
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
     spec = _check_caps(parse_group(args.group))
-    value = parabolic_index(spec, args.parabolic)
-    print(f"[{spec} : P{args.parabolic}] = {value} = {_fmt_factors(factorize(value))}")
+    head = f"[{spec} : P{args.parabolic}] = {parabolic_index(spec, args.parabolic)} = "
+    print(head + _fmt_factors(parabolic_index_factorization(spec, args.parabolic)))
     return 0
 
 

@@ -6,14 +6,20 @@ Everything here is deterministic and exact.  No floats anywhere: the
 comparisons done elsewhere in the package rely on these primitives never
 rounding, so factorization is trial division plus Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule, and primality is
-Miller-Rabin with a deterministic base set below 2**64 and a fixed base
-list above it.
+Miller-Rabin.  The first k primes as bases decide every n below psi_k,
+the least strong pseudoprime to all of them, so the base set grows with
+n: primes up to 13 below psi_6 = 3474749660383, up to 17 below psi_7 =
+341550071728321, up to 23 below psi_9 = 3825123056546413051, up to 37
+below psi_12 = 318665857834031151167461 and up to 41 below psi_13 =
+3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014; Sorenson
+and Webster 2015).  Above psi_13 a fixed list of the primes up to 97 is
+used, which no known composite passes.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, isqrt
@@ -21,11 +27,16 @@ from math import gcd, isqrt
 _TRIAL_LIMIT = 10_000
 _SIEVE_BLOCK = 2048
 
-# Deterministic witness set for n < 3.3 * 10**24 (covers every value the
-# trial-division stage can leave behind for inputs below ~10**28; larger
-# inputs additionally get the fixed extended list below).
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BASES_BIG = _MR_BASES_64 + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# (psi_k, the first k primes): those bases decide every n < psi_k exactly.
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97)
+_MR_TIERS = tuple((psi, _MR_PRIMES[:k]) for psi, k in (
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+))
 
 
 def _sieve(limit: int) -> list[int]:
@@ -48,8 +59,9 @@ def small_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin.  Exact for n < 3.3e24; for larger n the
-    extended fixed base list is used (no known composite passes it)."""
+    """Miller-Rabin with the base set of n's tier: exact below psi_13 =
+    3317044064679887385961981; above it the primes up to 97 are used (no
+    known composite passes them)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -60,7 +72,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = _MR_BASES_64 if n < 3_317_044_064_679_887_385_961_981 else _MR_BASES_BIG
+    bases = next((bases for psi, bases in _MR_TIERS if n < psi), _MR_PRIMES)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -90,7 +102,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -98,7 +110,7 @@ def _brent_rho(n: int) -> int:
             g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
             if ys == y:
                 break
         if 1 < g < n:
@@ -274,6 +286,35 @@ def cyclotomic_pieces(x: int, k: int, plus: bool = False) -> dict[int, int]:
                 value //= phi
         values[d] = value
     return {d: value for d, value in values.items() if k % d} if plus else values
+
+
+def factor_cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
+                            den: Iterable[tuple[int, int]]) -> Factorization:
+    """Factorization of prod_num(x**d - e) / prod_den(x**d - e), e = +-1.
+
+    Each x**d - e is the product of the cyclotomic_pieces of x**d - 1 or
+    x**d + 1, so the ratio is prod_k Phi_k(x)**c_k with c_k the net count
+    of Phi_k.  Each Phi_k(x) with c_k != 0 is factored once, never the
+    product, and every c_k must be >= 0 (the ratio is then an integer).
+    """
+    counts: dict[int, int] = {}
+    values: dict[int, int] = {}
+    for terms, sign in ((num, 1), (den, -1)):
+        for d, e in terms:
+            if e not in (1, -1):
+                raise ValueError(f"factor_cyclotomic_ratio expects e = +-1, got {e}")
+            for k, phi in cyclotomic_pieces(x, d, plus=e == -1).items():
+                counts[k] = counts.get(k, 0) + sign
+                values[k] = phi
+    acc: dict[int, int] = {}
+    value = 1
+    for k, c in counts.items():
+        assert c >= 0, f"Phi_{k} has net count {c} in the ratio"
+        if c:
+            value *= values[k] ** c
+            for p, e in factorize(values[k]).factors:
+                acc[p] = acc.get(p, 0) + c * e
+    return Factorization(value, tuple(sorted(acc.items())))
 
 
 def gaussian_binomial(n: int, m: int, q: int) -> int:

@@ -10,7 +10,10 @@ states its simple (adjoint quotient) order once, as a record
 p_part, the full power of the defining characteristic, is q^N with the
 center's p-part removed.  Parabolic indices cover the families where a
 closed product formula is wired in, as exact ratios of the same q^d - e
-factors; everything is exact integer arithmetic.
+factors; everything is exact integer arithmetic.  The factorizations of
+a Lie-type order or index are read off these records: each distinct
+cyclotomic value Phi_k(q) in the q^d - e factors is factored once, never
+the whole value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .exactmath import gaussian_binomial, is_prime_power
+from .exactmath import Factorization, factor_cyclotomic_ratio, factorize, is_prime_power
 
 # Orders of the sporadic groups, keyed by canonical name.
 SPORADIC_ORDERS: dict[str, int] = {
@@ -248,37 +251,69 @@ def p_part(spec: GroupSpec) -> int:
     return spec.q**q_exp // gcd(spec.q**q_exp, center)
 
 
-def parabolic_index(spec: GroupSpec, m: int) -> int:
-    """Index of the m-th maximal parabolic subgroup (totally isotropic
-    m-subspace stabilizer for the classical families)."""
+def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:
+    """(num, den) with the index of the m-th maximal parabolic subgroup
+    = prod_num(q^d - e) / prod_den(q^d - e)."""
     q, n = spec.q, spec.n
     if spec.family == "PSL":
         if not 1 <= m <= n - 1:
             raise ValueError(f"PSL({n},{q}) parabolic range is 1..{n - 1}, got {m}")
-        return gaussian_binomial(n, m, q)
+        return tuple((n - i, 1) for i in range(m)), tuple((i + 1, 1) for i in range(m))
     if spec.family == "PSU":
         if not 1 <= m <= n // 2:
             raise ValueError(f"PSU({n},{q}) parabolic range is 1..{n // 2}, got {m}")
-        return _ratio(q, [(i, (-1) ** i) for i in range(n - 2 * m + 1, n + 1)],
-                      [(2 * i, 1) for i in range(1, m + 1)])
+        return (tuple((i, (-1) ** i) for i in range(n - 2 * m + 1, n + 1)),
+                tuple((2 * i, 1) for i in range(1, m + 1)))
     if spec.family == "PSp":
         k = n // 2
         if not 1 <= m <= k:
             raise ValueError(f"PSp({n},{q}) parabolic range is 1..{k}, got {m}")
-        return _ratio(q, [(2 * (k - i), 1) for i in range(m)],
-                      [(i, 1) for i in range(1, m + 1)])
+        return tuple((2 * (k - i), 1) for i in range(m)), tuple((i, 1) for i in range(1, m + 1))
     if spec.family == "POmega":
         if m != 1:
             raise ValueError(f"only the point parabolic is wired for {spec}")
         if spec.eps == "o":
-            return _ratio(q, [(n - 1, 1)], [(1, 1)])
+            return ((n - 1, 1),), ((1, 1),)
         s = _sign(spec.eps)
-        return _ratio(q, [(n // 2, s), ((n - 2) // 2, -s)], [(1, 1)])
+        return ((n // 2, s), ((n - 2) // 2, -s)), ((1, 1),)
     if spec.family == "G2":
         if m not in (1, 2):
             raise ValueError(f"G2 parabolic range is 1..2, got {m}")
-        return _ratio(q, [(6, 1)], [(1, 1)])
+        return ((6, 1),), ((1, 1),)
     raise ValueError(f"parabolic index not wired for family {spec.family}")
+
+
+def parabolic_index(spec: GroupSpec, m: int) -> int:
+    """Index of the m-th maximal parabolic subgroup (totally isotropic
+    m-subspace stabilizer for the classical families)."""
+    return _ratio(spec.q, *_index_record(spec, m))
+
+
+def _checked(value: int, f: Factorization) -> Factorization:
+    assert f.reassemble() == value
+    return f
+
+
+def order_factorization(spec: GroupSpec) -> Factorization:
+    """Factorization of order(spec).  For Lie types it is read off the
+    order record: q^N gives p^(e*N), each Phi_k(q) of the (q^d - e) ratio
+    is factored once, and the center's primes are taken off."""
+    value = order(spec)
+    if spec.family in ("A", "SPOR"):
+        return _checked(value, factorize(value))
+    q_exp, terms, divisor, center = _order_record(spec)
+    acc = dict(factor_cyclotomic_ratio(spec.q, terms, divisor).factors)
+    acc[spec.p] = acc.get(spec.p, 0) + spec.e * q_exp
+    for p, e in factorize(center).factors:
+        acc[p] -= e
+    factors = tuple(sorted((p, e) for p, e in acc.items() if e))
+    return _checked(value, Factorization(value, factors))
+
+
+def parabolic_index_factorization(spec: GroupSpec, m: int) -> Factorization:
+    """Factorization of parabolic_index(spec, m), one Phi_k(q) at a time."""
+    value = parabolic_index(spec, m)
+    return _checked(value, factor_cyclotomic_ratio(spec.q, *_index_record(spec, m)))
 
 
 # Smallest faithful permutation degrees that undercut the point parabolic

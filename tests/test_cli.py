@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import planesieve
+from planesieve import cli, exactmath, groups
 from planesieve.cli import main
+
+from test_groups import _valid_specs
 
 
 def _run(capsys, *argv):
@@ -36,6 +40,13 @@ def test_factor_command(capsys):
     code, out, _ = _run(capsys, "factor", "273")
     assert code == 0
     assert "273 = 3 * 7 * 13" in out
+
+
+def test_factor_splits_the_twelve_base_pseudoprime(capsys):
+    # psi_12, the least strong pseudoprime to the bases 2..37
+    code, out, _ = _run(capsys, "factor", "318665857834031151167461")
+    assert code == 0
+    assert out == "318665857834031151167461 = 399165290221 * 798330580441\n"
 
 
 def test_factor_rejects_nonpositive(capsys):
@@ -155,6 +166,55 @@ def test_scan_range_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_order_and_index_grid_golden_digest(monkeypatch, capsys):
+    # byte-for-byte pin of `order` and `index --parabolic m` (m = 1..11,
+    # value or error text) for every valid Lie-type spec with q <= 64 and
+    # n <= 12, recorded when both factored the whole value; one parser
+    # serves every call, since building it dominates a query this cheap
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    for spec in _valid_specs(64, 12):
+        tokens = [str(v) for v in (spec.family, spec.n, spec.q, spec.eps) if v is not None]
+        for argv in (["order", *tokens],
+                     *(["index", *tokens, "--parabolic", str(m)] for m in range(1, 12))):
+            code, out, err = _run(capsys, *argv)
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == (
+        "90b3cef3a833e99120cd71724f8baa9b3189704d3f1771a69cdc31e2bb931459")
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "E8", "61"),
+    ("order", "PSU", "14", "31"),
+    ("order", "PSL", "12", "64"),
+    ("order", "POmega", "16", "9", "-"),
+    ("order", "E6", "17", "-"),
+    ("order", "2F4", "8"),
+    ("index", "PSL", "12", "64", "--parabolic", "5"),
+    ("index", "PSU", "9", "32", "--parabolic", "3"),
+    ("index", "PSp", "10", "49", "--parabolic", "2"),
+    ("index", "POmega", "12", "27", "+", "--parabolic", "1"),
+    ("index", "G2", "25", "--parabolic", "1"),
+])
+def test_group_queries_factor_pieces_not_the_value(monkeypatch, capsys, argv):
+    # every value here is a product of several cyclotomic pieces, so no
+    # factorize call may see the value itself
+    seen = []
+    real = exactmath.factorize
+
+    def spy(n):
+        seen.append(n)
+        return real(n)
+
+    for module in (exactmath, groups, cli):
+        monkeypatch.setattr(module, "factorize", spy, raising=False)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    value = int(out.split(" = ")[1])
+    assert seen and max(seen) < value
+
+
 def test_scan_bad_range(capsys):
     code, _, err = _run(capsys, "scan", "--u-min", "9", "--u-max", "2")
     assert code == 2
@@ -208,10 +268,33 @@ _HARD_SEMIPRIME = "10000000000000000016800000000000000005031"
     ["scan", "--u-min", "2", "--u-max", "3", "--candidates", f"PSL 2 {_HARD_SEMIPRIME}"],
 ])
 def test_group_q_validated_in_bounded_time(argv):
+    proc = _cli_process(argv)
+    assert proc.returncode == 2
+    assert "is not a prime power" in proc.stderr
+
+
+def _cli_process(argv):
     src = str(Path(planesieve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2
-    assert "is not a prime power" in proc.stderr
+
+
+def test_oversized_group_value_fails_in_bounded_time():
+    # |PSL(50,1019)| is past the int-to-str digit limit; the value is
+    # formatted before anything is factored, so the query fails at once
+    proc = _cli_process(["order", "PSL", "50", "1019"])
+    assert proc.returncode != 0
+
+
+@pytest.mark.parametrize("argv", [["order", "E8", "1021"], ["order", "PSU", "20", "128"]])
+def test_large_group_orders_answer_in_bounded_time(argv):
+    proc = _cli_process(argv)
+    assert proc.returncode == 0
+    _, value, factors = proc.stdout.strip().split(" = ")
+    powers = [(int(p), int(e or 1)) for p, _, e in
+              (term.partition("^") for term in factors.split(" * "))]
+    assert prod(p**e for p, e in powers) == int(value)
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(p) for p, _ in powers)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planesieve.exactmath import (Factorization, cyclotomic_pieces, factorize,
-                                  gaussian_binomial, geom_sum, is_prime, is_prime_power,
+from planesieve.exactmath import (Factorization, cyclotomic_pieces, factor_cyclotomic_ratio,
+                                  factorize, gaussian_binomial, geom_sum, is_prime, is_prime_power,
                                   merge_factorizations, nth_root, phi3_factorizations,
                                   small_primes)
 
@@ -52,6 +52,29 @@ def test_is_prime_matches_trial_division():
 ])
 def test_is_prime_known_values(n, expected):
     assert is_prime(n) == expected
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for the
+# k at which is_prime changes its base set.
+_PSI = (3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
+
+
+def test_is_prime_rejects_the_twelve_base_pseudoprime():
+    n = 318_665_857_834_031_151_167_461
+    assert not is_prime(n)
+    assert factorize(n).factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+
+
+def test_is_prime_base_tiers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9)
+    for psi in _PSI:
+        numbers = [psi - 1, psi, psi + 1, sympy.prevprime(psi), sympy.nextprime(psi)]
+        numbers += [rng.randrange(psi // 2, psi) for _ in range(100)]
+        numbers += [rng.randrange(psi, 2 * psi) for _ in range(100)]
+        for n in numbers:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_factorize_round_trip_small_range():
@@ -276,6 +299,31 @@ def test_cyclotomic_pieces_rejects_bad_arguments():
             cyclotomic_pieces(x, k)
         with pytest.raises(ValueError):
             cyclotomic_pieces(x, k, plus=True)
+
+
+def test_factor_cyclotomic_ratio_matches_factorize():
+    for x in (2, 3, 4, 7, 32):
+        for n in range(1, 11):
+            for m in range(n + 1):
+                num = [(n - i, (-1) ** (n - i)) for i in range(m)]
+                den = [(i + 1, (-1) ** (i + 1)) for i in range(m)]
+                value = prod(x**d - e for d, e in num) // prod(x**d - e for d, e in den)
+                assert factor_cyclotomic_ratio(x, num, den) == factorize(value), (x, n, m)
+                num = [(n - i, 1) for i in range(m)]
+                den = [(i + 1, 1) for i in range(m)]
+                value = gaussian_binomial(n, m, x)
+                assert factor_cyclotomic_ratio(x, num, den) == factorize(value), (x, n, m)
+            # a unitary-style order repeats pieces: Phi_2(x) divides all n terms
+            num = [(i, (-1) ** i) for i in range(1, n + 1)]
+            value = prod(x**d - e for d, e in num)
+            assert factor_cyclotomic_ratio(x, num, []) == factorize(value), (x, n)
+
+
+def test_factor_cyclotomic_ratio_rejects_bad_terms():
+    with pytest.raises(AssertionError):
+        factor_cyclotomic_ratio(3, [(4, 1)], [(3, 1)])  # (x^4 - 1)/(x^3 - 1)
+    with pytest.raises(ValueError):
+        factor_cyclotomic_ratio(3, [(4, 2)], [])
 
 
 def test_factorization_is_immutable():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from planesieve.exactmath import factorize, gaussian_binomial, is_prime_power
 from planesieve.groups import (SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec,
-                               min_proper_index, order, p_part, parabolic_index,
-                               parse_group)
+                               min_proper_index, order, order_factorization, p_part,
+                               parabolic_index, parabolic_index_factorization, parse_group)
 
 from _oracles import brute_psl2_order
 
@@ -194,6 +194,16 @@ def test_group_arithmetic_golden_digest():
     assert len(lines) == 1117
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "f56813450fd51e48dfffbe63b7277dbf97fb2c9a58ae739344b9ce06a800fbea")
+
+
+def test_piecewise_factorizations_match_factorize():
+    specs = _valid_specs(32, 9) + [group_spec("A", n=n) for n in range(5, 40)]
+    specs += [group_spec("SPOR", name=name) for name in SPORADIC_ORDERS]
+    for spec in specs:
+        assert order_factorization(spec) == factorize(order(spec)), spec
+        for m, index in _wired_indices(spec):
+            if not isinstance(index, str):
+                assert parabolic_index_factorization(spec, m) == factorize(index), (spec, m)
 
 
 def test_min_proper_index_known():
