@@ -5,12 +5,15 @@ answer exact-arithmetic queries (orders, parabolic indices, involution
 class sizes, factorizations).  Structured output is a line-delimited
 record stream with a trailing summary record, so long scans stay
 streamable.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
-3 internal error.
+3 internal error, such as a group value past Python's int-to-str digit
+limit.  The argument parser is built on the first `main` call and
+reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -115,18 +118,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digits(value: int) -> str:
+    # str() refuses a value past the int-to-str digit limit with a
+    # ValueError, which main would report as a usage error
+    try:
+        return str(value)
+    except ValueError:
+        raise OverflowError(f"the value has more than {sys.get_int_max_str_digits()} "
+                            "digits, past the int-to-str conversion limit") from None
+
+
 # order and index format the value before anything is factored, so a value
 # past the int-to-str digit limit fails at once.
 def _cmd_order(args: argparse.Namespace) -> int:
     spec = _check_caps(parse_group(args.group))
-    head = f"|{spec}| = {order(spec)} = "
+    head = f"|{spec}| = {_digits(order(spec))} = "
     print(head + _fmt_factors(order_factorization(spec)))
     return 0
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
     spec = _check_caps(parse_group(args.group))
-    head = f"[{spec} : P{args.parabolic}] = {parabolic_index(spec, args.parabolic)} = "
+    index = parabolic_index(spec, args.parabolic)
+    head = f"[{spec} : P{args.parabolic}] = {_digits(index)} = "
     print(head + _fmt_factors(parabolic_index_factorization(spec, args.parabolic)))
     return 0
 
@@ -153,6 +167,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planesieve",
@@ -209,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (ValueError, KeyError, LookupError) as exc:
+    except (ValueError, LookupError) as exc:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2
@@ -218,7 +233,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # already-closed stream at shutdown.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

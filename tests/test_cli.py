@@ -4,6 +4,7 @@ record stream."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import prod
@@ -166,13 +167,10 @@ def test_scan_range_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_order_and_index_grid_golden_digest(monkeypatch, capsys):
+def test_order_and_index_grid_golden_digest(capsys):
     # byte-for-byte pin of `order` and `index --parabolic m` (m = 1..11,
     # value or error text) for every valid Lie-type spec with q <= 64 and
-    # n <= 12, recorded when both factored the whole value; one parser
-    # serves every call, since building it dominates a query this cheap
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    # n <= 12, recorded when both factored the whole value
     digest = hashlib.sha256()
     for spec in _valid_specs(64, 12):
         tokens = [str(v) for v in (spec.family, spec.n, spec.q, spec.eps) if v is not None]
@@ -258,6 +256,63 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# one call per subcommand kind, a usage error, --version, and a repeat
+_MIXED_CALLS = (
+    ["order", "PSL", "2", "13"],
+    ["index", "PSL", "5", "2", "--parabolic", "1"],
+    ["factor", "273"],
+    ["scan", "--u-min", "2", "--u-max", "40", "--format", "structured"],
+    ["verify", "ALT-BOUND"],
+    ["index", "PSL", "5", "2"],
+    ["--version"],
+    ["order", "PSL", "2", "13"],
+)
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    # `verify` prints its elapsed time
+    return code, re.sub(r"\(\d+\.\d ms\)", "(ms)", captured.out), captured.err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        for argv in _MIXED_CALLS:
+            _call(capsys, argv)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import planesieve.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    shared = [_call(capsys, argv) for argv in _MIXED_CALLS]
+    fresh = []
+    for argv in _MIXED_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert [code for code, _, _ in shared] == [
+        0, 0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 0), 0]
+    assert shared == fresh
+
+
 # (10**20 + 39) * (10**20 + 129): a semiprime with two 21-digit factors,
 # far too large for Pollard rho to split in reasonable time.
 _HARD_SEMIPRIME = "10000000000000000016800000000000000005031"
@@ -273,19 +328,26 @@ def test_group_q_validated_in_bounded_time(argv):
     assert "is not a prime power" in proc.stderr
 
 
-def _cli_process(argv):
+def _src_env():
     src = str(Path(planesieve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=env,
+    return env
+
+
+def _cli_process(argv):
+    return subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=30)
 
 
 def test_oversized_group_value_fails_in_bounded_time():
     # |PSL(50,1019)| is past the int-to-str digit limit; the value is
-    # formatted before anything is factored, so the query fails at once
+    # formatted before anything is factored, so the query fails at once,
+    # as an internal error rather than a usage error
     proc = _cli_process(["order", "PSL", "50", "1019"])
-    assert proc.returncode != 0
+    assert proc.returncode == 3
+    assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+    assert "int-to-str" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["order", "E8", "1021"], ["order", "PSU", "20", "128"]])
