@@ -19,7 +19,7 @@ from math import comb, gcd, isqrt, prod
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
-                        is_prime_power, small_primes)
+                        is_prime_power, nth_root, phi3_factorizations, small_primes)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck
 from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
@@ -887,16 +887,19 @@ def _e_char2_parab(bound: int | None) -> tuple[bool, list]:
 def _ljunggren_scan(bound: int | None) -> tuple[bool, list]:
     u_max = bound or 10**6
     v_max = u_max * u_max + u_max + 1
-    # Walk the proper prime powers up to v_max; u**2 + u + 1 = w**2 - w + 1
-    # with w = u + 1, so quadratic_ratio_root picks out the values hit.
+    # u**2 < u**2 + u + 1 < (u + 1)**2, so the value is never a square: only
+    # p**k with odd k >= 3 can hit, and then p**3 <= v_max.  This is the
+    # first step of Nagell (1920) and Ljunggren (1943) on (x**n - 1)/(x - 1)
+    # = y**q.  u**2 + u + 1 = w**2 - w + 1 with w = u + 1, so
+    # quadratic_ratio_root picks out the values hit.
     hits = {}
-    for p in small_primes(isqrt(v_max)):
-        value = p * p
+    for p in small_primes(nth_root(v_max, 3)[0]):
+        value = p**3
         while value <= v_max:
             w = quadratic_ratio_root(value)
             if w is not None:
                 hits[w - 1] = value
-            value *= p
+            value *= p * p
     ok = True
     witnesses = []
     seven_cubed_at = None
@@ -910,8 +913,9 @@ def _ljunggren_scan(bound: int | None) -> tuple[bool, list]:
         ok = False
         witnesses.append(("missing-exceptional-value", seven_cubed_at))
 
-    for u in range(1, min(u_max, 2000) + 1):
-        cls = ljunggren_classify(u)
+    cross = min(u_max, 2000)
+    for u, plus in zip(range(1, cross + 1), phi3_factorizations(1, cross)):
+        cls = ljunggren_classify(plus)
         hit = hits.get(u)
         if (cls is LjunggrenClass.SEVEN_CUBED) != (hit == 343):
             ok = False
@@ -921,7 +925,7 @@ def _ljunggren_scan(bound: int | None) -> tuple[bool, list]:
             witnesses.append(("oracle-mismatch", u, cls.value))
     if ok:
         witnesses.append(("unique-proper-power", 18, 343))
-        witnesses.append(("scanned", 1, u_max, "cross-checked", min(u_max, 2000)))
+        witnesses.append(("scanned", 1, u_max, "cross-checked", cross))
     return ok, witnesses
 
 

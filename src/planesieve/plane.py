@@ -22,8 +22,8 @@ from .exactmath import (Factorization, factorize, is_prime, merge_factorizations
 @dataclass(frozen=True)
 class PlaneOrder:
     """Square plane order x = u**2 with v = x**2 + x + 1.  plus_factors is
-    the factorization of u**2 + u + 1, kept so ljunggren_classify can read
-    it; v_factors merges it with that of u**2 - u + 1."""
+    the factorization of u**2 + u + 1, the form ljunggren_classify takes;
+    v_factors merges it with that of u**2 - u + 1."""
 
     u: int
     x: int
@@ -85,20 +85,15 @@ class LjunggrenClass(Enum):
     COMPOSITE = "composite"
 
 
-def ljunggren_classify(u: int | Factorization) -> LjunggrenClass:
-    """Classify u**2 + u + 1: prime, the exceptional perfect power 343
-    (u = 18), some other proper prime power, or composite.  Instead of u
-    the Factorization of u**2 + u + 1 itself may be given (such as
-    PlaneOrder.plus_factors); it is classified as is, not factored again."""
-    if isinstance(u, int):
-        if u < 1:
-            raise ValueError(f"ljunggren_classify expects u >= 1, got {u}")
-        u = factorize(u * u + u + 1)
-    if len(u.factors) > 1:
+def ljunggren_classify(plus: Factorization) -> LjunggrenClass:
+    """Classify u**2 + u + 1, given as its Factorization (such as
+    PlaneOrder.plus_factors): prime, the exceptional perfect power 343
+    (u = 18), some other proper prime power, or composite."""
+    if len(plus.factors) > 1:
         return LjunggrenClass.COMPOSITE
-    if u.factors[0][1] == 1:
+    if plus.factors[0][1] == 1:
         return LjunggrenClass.PRIME_VALUE
-    return LjunggrenClass.SEVEN_CUBED if u.value == 343 else LjunggrenClass.OTHER_PRIME_POWER
+    return LjunggrenClass.SEVEN_CUBED if plus.value == 343 else LjunggrenClass.OTHER_PRIME_POWER
 
 
 def quadratic_ratio_root(t: int) -> int | None:

@@ -5,7 +5,7 @@ tiny structures, with no dependence on the package's own formulas.
 """
 
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, isqrt
 
 
 class TinyField:
@@ -140,3 +140,25 @@ def cyclotomic_value(d, x):
                 den *= x**e - 1
     assert num % den == 0
     return num // den
+
+
+def phi3_proper_power_hits(u_max):
+    """{u: u**2 + u + 1} for every 1 <= u <= u_max whose value is p**k
+    with p prime and k >= 2, found by walking every such p**k up to
+    u_max**2 + u_max + 1 over an Eratosthenes sieve to its square root."""
+    v_max = u_max * u_max + u_max + 1
+    limit = isqrt(v_max)
+    composite = bytearray(limit + 1)
+    hits = {}
+    for p in range(2, limit + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(composite[p * p::p])
+        value = p * p
+        while value <= v_max:
+            disc = 4 * value - 3
+            s = isqrt(disc)
+            if s * s == disc and s >= 3:
+                hits[(s - 1) // 2] = value
+            value *= p
+    return hits

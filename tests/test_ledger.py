@@ -3,13 +3,20 @@ reporting, and the bundled manifest."""
 
 import json
 import sys
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import planesieve.cases
 import planesieve.exactmath
 from planesieve import ledger
 from planesieve.cases import REGISTRY
 from planesieve.ledger import CaseCheck, Verdict
+from planesieve.plane import quadratic_ratio_root
+
+from _oracles import phi3_proper_power_hits
 
 
 EXPECTED_IDS = [
@@ -60,11 +67,49 @@ def test_bound_equal_to_default_is_full():
     (18, Verdict.INCONCLUSIVE, ("scanned", 1, 18, "cross-checked", 18)),
     (2000, Verdict.INCONCLUSIVE, ("scanned", 1, 2000, "cross-checked", 2000)),
     (None, Verdict.ELIMINATED, ("scanned", 1, 1000000, "cross-checked", 2000)),
+    # below u = 18 the exceptional witness is still emitted, on purpose
+    (1, Verdict.INCONCLUSIVE, ("scanned", 1, 1, "cross-checked", 1)),
+    (17, Verdict.INCONCLUSIVE, ("scanned", 1, 17, "cross-checked", 17)),
 ])
 def test_ljunggren_scan_witnesses(bound, verdict, scanned):
     res = ledger.replay("LJUNGGREN-SCAN", bound=bound)
     assert res.verdict is verdict
     assert res.witnesses == (("unique-proper-power", 18, 343), scanned)
+
+
+@pytest.mark.parametrize("bound", [1, 17, 18, 100, 12345, 10**6])
+def test_ljunggren_scan_walk_matches_oracle(monkeypatch, bound):
+    # the walk is the only caller of quadratic_ratio_root in this case, so
+    # its hits can be read off the calls: they must be the oracle's, which
+    # walks every prime power, squares and all
+    hits = {}
+
+    def spy(t):
+        w = quadratic_ratio_root(t)
+        if w is not None:
+            hits[w - 1] = t
+        return w
+
+    monkeypatch.setattr(planesieve.cases, "quadratic_ratio_root", spy)
+    res = ledger.replay("LJUNGGREN-SCAN", bound=bound)
+    assert hits == phi3_proper_power_hits(bound) == ({18: 343} if bound >= 18 else {})
+    assert res.witnesses == (("unique-proper-power", 18, 343),
+                             ("scanned", 1, bound, "cross-checked", min(bound, 2000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12))
+def test_phi3_value_is_never_a_square(u):
+    # u**2 < u**2 + u + 1 < (u + 1)**2: why the walk skips even exponents
+    assert isqrt(u * u + u + 1) == u
+
+
+def test_ljunggren_scan_sieves_nothing_fresh(monkeypatch):
+    def forbidden(limit):
+        raise AssertionError(f"fresh sieve to {limit}")
+
+    monkeypatch.setattr(planesieve.exactmath, "_sieve", forbidden)
+    assert ledger.replay("LJUNGGREN-SCAN").verdict is Verdict.ELIMINATED
 
 
 def test_bound_only_tightens():

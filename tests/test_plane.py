@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from planesieve.exactmath import factorize, is_prime_power
+from planesieve.exactmath import factorize, is_prime_power, phi3_factorizations
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_inequality_holds,
                               largest_prime_part_bound, ljunggren_classify,
@@ -65,16 +65,16 @@ def test_admissible_index_rejects_nonpositive():
 
 
 def test_ljunggren_classify_landmarks():
-    assert ljunggren_classify(2) is LjunggrenClass.PRIME_VALUE    # 7
-    assert ljunggren_classify(3) is LjunggrenClass.PRIME_VALUE    # 13
-    assert ljunggren_classify(4) is LjunggrenClass.COMPOSITE      # 21
-    assert ljunggren_classify(18) is LjunggrenClass.SEVEN_CUBED   # 343
+    assert ljunggren_classify(factorize(7)) is LjunggrenClass.PRIME_VALUE     # u = 2
+    assert ljunggren_classify(factorize(13)) is LjunggrenClass.PRIME_VALUE    # u = 3
+    assert ljunggren_classify(factorize(21)) is LjunggrenClass.COMPOSITE      # u = 4
+    assert ljunggren_classify(factorize(343)) is LjunggrenClass.SEVEN_CUBED   # u = 18
 
 
 def test_ljunggren_classify_consistent_with_prime_power_test():
-    for u in range(1, 500):
+    for u, plus in zip(range(1, 500), phi3_factorizations(1, 499)):
         value = u * u + u + 1
-        cls = ljunggren_classify(u)
+        cls = ljunggren_classify(plus)
         assert ljunggren_classify(factorize(value)) is cls
         pp = is_prime_power(value)
         if cls is LjunggrenClass.PRIME_VALUE:
