@@ -129,12 +129,6 @@ class Factorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def reassemble(self) -> int:
         out = 1
         for p, e in self.factors:

@@ -1,4 +1,5 @@
-"""Finite simple group parameters: orders, p-parts, parabolic indices.
+"""Finite simple group parameters: orders, parabolic indices and their
+factorizations.
 
 GroupSpec is a validated discriminated record.  Each Lie-type family
 states its simple (adjoint quotient) order once, as a record
@@ -6,14 +7,13 @@ states its simple (adjoint quotient) order once, as a record
 
     order = q^N * prod_terms(q^d - e) / prod_divisor(q^d - e) / center
 
-(Carter, Simple Groups of Lie Type, 1972).  order reads the record, and
-p_part, the full power of the defining characteristic, is q^N with the
-center's p-part removed.  Parabolic indices cover the families where a
-closed product formula is wired in, as exact ratios of the same q^d - e
-factors; everything is exact integer arithmetic.  The factorizations of
-a Lie-type order or index are read off these records: each distinct
-cyclotomic value Phi_k(q) in the q^d - e factors is factored once, never
-the whole value.
+(Carter, Simple Groups of Lie Type, 1972).  order reads the record.
+Parabolic indices cover the families where a closed product formula is
+wired in, as exact ratios of the same q^d - e factors; everything is
+exact integer arithmetic.  The factorizations of a Lie-type order or
+index are read off these records: each distinct cyclotomic value
+Phi_k(q) in the q^d - e factors is factored once, never the whole
+value.
 """
 
 from __future__ import annotations
@@ -241,14 +241,6 @@ def order(spec: GroupSpec) -> int:
         return SPORADIC_ORDERS[spec.name]
     q_exp, terms, divisor, center = _order_record(spec)
     return spec.q**q_exp * _ratio(spec.q, terms, divisor) // center
-
-
-def p_part(spec: GroupSpec) -> int:
-    """Full power of the defining characteristic dividing order(spec)."""
-    if spec.family in ("A", "SPOR"):
-        raise ValueError(f"{spec} has no defining characteristic")
-    q_exp, _, _, center = _order_record(spec)
-    return spec.q**q_exp // gcd(spec.q**q_exp, center)
 
 
 def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:

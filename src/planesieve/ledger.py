@@ -6,22 +6,16 @@ domain is confirmed, Violated when a check fails somewhere (with
 witnesses), and Inconclusive when a caller-supplied bound truncated
 the scan below its registered default.  Witnesses carry the concrete
 numbers a verdict rests on, so a report is auditable without rerunning
-anything.
-
-Anchors are self-contained statements of the claim each case certifies;
-they are duplicated in a bundled manifest (anchors.json) so the claim
-text can be audited as data, and the test suite checks the two copies
-agree.
+anything.  A case's anchor is a self-contained statement of the claim
+it certifies.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Any, Callable, Sequence
 
 
@@ -158,29 +152,3 @@ def _plain(value: Any) -> Any:
         return value.value
     return value
 
-
-def anchor_manifest() -> dict[str, dict[str, str]]:
-    """The bundled id -> {section, anchor} manifest."""
-    text = resources.files("planesieve").joinpath("anchors.json").read_text("utf-8")
-    return json.loads(text)
-
-
-def manifest_mismatches(registry: Sequence[CaseCheck] | None = None) -> list[str]:
-    """Differences between the registry metadata and the bundled manifest."""
-    reg = _default_registry() if registry is None else registry
-    manifest = anchor_manifest()
-    problems = []
-    seen = set()
-    for case in reg:
-        seen.add(case.id)
-        entry = manifest.get(case.id)
-        if entry is None:
-            problems.append(f"{case.id}: missing from manifest")
-            continue
-        if entry.get("section") != case.section:
-            problems.append(f"{case.id}: section differs")
-        if entry.get("anchor") != case.anchor:
-            problems.append(f"{case.id}: anchor differs")
-    for extra in sorted(set(manifest) - seen):
-        problems.append(f"{extra}: in manifest but not registered")
-    return problems

@@ -15,8 +15,7 @@ from enum import Enum
 from itertools import pairwise
 from math import gcd, isqrt
 
-from .exactmath import (Factorization, factorize, is_prime, merge_factorizations,
-                        phi3_factorizations)
+from .exactmath import Factorization, factorize, merge_factorizations, phi3_factorizations
 
 
 @dataclass(frozen=True)
@@ -108,27 +107,13 @@ def quadratic_ratio_root(t: int) -> int | None:
     return u if u >= 2 and u * u - u + 1 == t else None
 
 
-def kantor_inequality_holds(p: int, a: int, m: int, u: int) -> bool:
-    """Cofactor gate for v(u) = p**a * m with a >= 2 and p coprime to m:
-    either m > 8 * p**a, or p**a is 343 and coincides with u**2 + u + 1
-    or u**2 - u + 1.  Malformed decompositions are rejected."""
-    if a < 2:
-        raise ValueError(f"kantor_inequality_holds expects a >= 2, got {a}")
-    if not is_prime(p):
-        raise ValueError(f"kantor_inequality_holds expects p prime, got {p}")
-    if m % p == 0:
-        raise ValueError(f"kantor_inequality_holds expects gcd(p, m) = 1, got p={p}, m={m}")
-    v = (u * u + u + 1) * (u * u - u + 1)
-    if p**a * m != v:
-        raise ValueError(f"p**a * m = {p**a * m} does not match v(u) = {v}")
-    return kantor_cofactor_holds(p**a, m, u)
-
-
 def kantor_cofactor_holds(prime_power: int, m: int, u: int) -> bool:
-    """The inequality of kantor_inequality_holds for v(u) = prime_power * m,
-    with the decomposition taken as given (such as one read off
-    PlaneOrder.v_factors): m > 8 * prime_power, or prime_power is 343 and
-    coincides with u**2 + u + 1 or u**2 - u + 1."""
+    """Kantor's cofactor gate for v(u) = prime_power * m, where prime_power
+    is the full power p**a (a >= 2) of a prime dividing v and m is its
+    cofactor: the gate holds when m > 8 * prime_power, or when
+    prime_power is 343 and equals u**2 + u + 1 or u**2 - u + 1.  The
+    decomposition is taken as given (such as one read off
+    PlaneOrder.v_factors) and is not re-checked."""
     return m > 8 * prime_power or (prime_power == 343 and 343 in (u * u + u + 1, u * u - u + 1))
 
 
@@ -169,16 +154,3 @@ def fixed_count_bound(ratio: int) -> int:
     u >= 1 with u**2 - u + 1 <= ratio (such u have u - 1 <= isqrt(ratio))."""
     return ratio + 2 * isqrt(ratio) + 2
 
-
-def largest_prime_part_bound(c: int, p: int, a: int, m: int) -> int:
-    """Bound max(p**a, m + 2*sqrt(m) + 2) on the p-part of v for a class
-    count 2**c * p**a * m with m odd and coprime to p."""
-    if c < 0 or a < 1:
-        raise ValueError(f"largest_prime_part_bound expects c >= 0, a >= 1, got c={c}, a={a}")
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"largest_prime_part_bound expects an odd prime p, got {p}")
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"largest_prime_part_bound expects odd m >= 1, got {m}")
-    if m % p == 0:
-        raise ValueError(f"largest_prime_part_bound expects gcd(p, m) = 1, got p={p}, m={m}")
-    return max(p**a, fixed_count_bound(m))

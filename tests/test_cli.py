@@ -14,6 +14,7 @@ import pytest
 
 import planesieve
 from planesieve import cli, exactmath, groups
+from planesieve.cases import REGISTRY
 from planesieve.cli import main
 
 from test_groups import _valid_specs
@@ -96,6 +97,27 @@ def test_verify_all_structured_stream(capsys):
     assert summary["ok"] is True and summary["cases"] == 28
     assert len(records) == 29
     assert all(r["verdict"] == "eliminated" for r in records[:-1])
+
+
+def test_ledger_output_golden_digest(capsys):
+    # byte-for-byte pin of every ledger report: the structured records of
+    # verify-all without timings, and the exit code and text of verify for
+    # every case id (section, claim, parameters and witnesses)
+    code, out, _ = _run(capsys, "verify-all", "--format", "structured")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    for record in records:
+        record.pop("elapsed_ms", None)
+    structured = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert hashlib.sha256(structured.encode()).hexdigest() == (
+        "a935143f0cf349b607e3f7660705b95780e02d133e8f6cb6002b0d860e71faa9")
+    texts = []
+    for case in REGISTRY:
+        code, out, _ = _run(capsys, "verify", case.id)
+        texts.append(f"{code}\n" + re.sub(r"\([0-9.]+ ms\)", "(_ ms)", out))
+    assert len(texts) == 28
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "0cffc87aca466edf8e26269f7fedb84f5aa4b002fcf361a37bb5099fb545383e")
 
 
 def test_verify_all_truncation_exit_code(capsys):

@@ -107,13 +107,6 @@ def test_factorize_known(n, factors):
     assert factorize(n).factors == factors
 
 
-def test_factorization_exponent_of():
-    f = factorize(105301)
-    assert f.exponent_of(7) == 3
-    assert f.exponent_of(307) == 1
-    assert f.exponent_of(11) == 0
-
-
 def test_merge_factorizations():
     merged = merge_factorizations(factorize(12), factorize(18))
     assert merged.value == 216

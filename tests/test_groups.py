@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from planesieve.exactmath import factorize, gaussian_binomial, is_prime_power
 from planesieve.groups import (SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec,
-                               min_proper_index, order, order_factorization, p_part,
+                               min_proper_index, order, order_factorization,
                                parabolic_index, parabolic_index_factorization, parse_group)
 
 from _oracles import brute_psl2_order
@@ -102,15 +102,14 @@ def test_known_orders(tokens, expected):
     assert order(parse_group(tokens)) == expected
 
 
-def test_p_part_is_p_valuation_of_order():
+def test_order_factorization_gives_p_valuation_of_order():
     for tokens in (["PSL", "2", "13"], ["PSL", "4", "3"], ["PSp", "4", "7"],
                    ["PSU", "5", "2"], ["G2", "7"], ["3D4", "2"], ["2F4", "2"],
                    ["2F4", "8"], ["E6", "3", "-"], ["POmega", "8", "2", "+"],
                    ["PSU", "3", "8"]):
         spec = parse_group(tokens)
-        value = order(spec)
-        expected = spec.p ** factorize(value).exponent_of(spec.p)
-        assert p_part(spec) == expected
+        expected = dict(factorize(order(spec)).factors).get(spec.p, 0)
+        assert dict(order_factorization(spec).factors).get(spec.p, 0) == expected
 
 
 def test_parabolic_index_matches_gaussian_binomial():
@@ -175,13 +174,13 @@ def _wired_indices(spec):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_valid_specs(256, 16)))
 @example(group_spec("2F4", q=2))
-def test_p_part_and_parabolic_indices_divide_order(spec):
+def test_p_exponent_and_parabolic_indices_divide_order(spec):
     value = order(spec)
-    rest, power = value, 1
+    rest, exponent = value, 0
     while rest % spec.p == 0:
         rest //= spec.p
-        power *= spec.p
-    assert p_part(spec) == power
+        exponent += 1
+    assert dict(order_factorization(spec).factors).get(spec.p, 0) == exponent
     for _, index in _wired_indices(spec):
         assert isinstance(index, str) or value % index == 0
 

@@ -1,5 +1,5 @@
 """Ledger mechanics: replay, truncation semantics, determinism,
-reporting, and the bundled manifest."""
+and reporting."""
 
 import json
 import sys
@@ -232,20 +232,6 @@ def test_report_record_includes_bound_when_truncated():
     record = ledger.report_record(res)
     assert record["bound"] == 30
     assert record["verdict"] == "inconclusive"
-
-
-def test_manifest_agrees_with_registry():
-    manifest = ledger.anchor_manifest()
-    assert set(manifest) == set(EXPECTED_IDS)
-    assert ledger.manifest_mismatches() == []
-
-
-def test_manifest_mismatch_detection():
-    reg = (CaseCheck(id="GHOST", section="s", anchor="a", parameters="p",
-                     check=lambda b: (True, [])),)
-    problems = ledger.manifest_mismatches(registry=reg)
-    assert any("GHOST" in p for p in problems)
-    assert any("in manifest but not registered" in p for p in problems)
 
 
 def test_unitary_screen_witnesses():

@@ -7,9 +7,8 @@ import pytest
 
 from planesieve.exactmath import factorize, is_prime_power, phi3_factorizations
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
-                              fixed_count_bound, involution_counts, kantor_inequality_holds,
-                              largest_prime_part_bound, ljunggren_classify,
-                              plane_order, quadratic_ratio_root)
+                              fixed_count_bound, involution_counts, kantor_cofactor_holds,
+                              ljunggren_classify, plane_order, quadratic_ratio_root)
 
 
 def test_plane_order_u2():
@@ -112,22 +111,22 @@ def test_kantor_inequality_large_cofactor():
     assert (u * u + u + 1) % 169 == 0
     m = (u * u + u + 1) // 169 * (u * u - u + 1)
     assert m == 1389
-    assert kantor_inequality_holds(13, 2, m, u)
+    assert kantor_cofactor_holds(13**2, m, u)
 
 
 def test_kantor_inequality_seven_cubed_exception():
-    assert kantor_inequality_holds(7, 3, 307, 18)
+    # v(18) = 343 * 307: the cofactor is small, but 343 = 18^2 + 18 + 1
+    assert kantor_cofactor_holds(343, 307, 18)
 
 
-def test_kantor_inequality_validates_inputs():
-    with pytest.raises(ValueError):
-        kantor_inequality_holds(13, 1, 1389, 22)          # a must be >= 2
-    with pytest.raises(ValueError):
-        kantor_inequality_holds(15, 2, 7, 2)              # p must be prime
-    with pytest.raises(ValueError):
-        kantor_inequality_holds(7, 2, 49 * 3, 18)         # gcd(p, m) != 1
-    with pytest.raises(ValueError):
-        kantor_inequality_holds(13, 2, 3, 22)             # p^a * m != v(u)
+def test_kantor_inequality_fails_on_small_cofactor():
+    # m <= 8 * p^a fails, at the edge too
+    assert not kantor_cofactor_holds(169, 8 * 169, 22)
+    assert kantor_cofactor_holds(169, 8 * 169 + 1, 22)
+    # v(19) = 381 * 343 with 343 = 19^2 - 19 + 1 passes; at u = 20 the
+    # halves are 421 and 381, 343 is neither, and the same split fails
+    assert kantor_cofactor_holds(343, 381, 19)
+    assert not kantor_cofactor_holds(343, 381, 20)
 
 
 def test_involution_counts_chain():
@@ -154,14 +153,3 @@ def test_fixed_count_bound_brute_force():
     for ratio in range(1, 10**4 + 1):
         us = [u for u in range(1, ratio + 2) if u * u - u + 1 <= ratio]
         assert max(u * u + u + 1 for u in us) <= fixed_count_bound(ratio), ratio
-
-
-def test_largest_prime_part_bound():
-    assert largest_prime_part_bound(0, 7, 2, 11) == 49
-    assert largest_prime_part_bound(1, 7, 1, 121) == 121 + 22 + 2
-    with pytest.raises(ValueError):
-        largest_prime_part_bound(0, 2, 2, 11)     # p must be odd
-    with pytest.raises(ValueError):
-        largest_prime_part_bound(0, 7, 2, 14)     # m must be odd
-    with pytest.raises(ValueError):
-        largest_prime_part_bound(0, 7, 2, 21)     # m coprime to p
