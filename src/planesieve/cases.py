@@ -102,8 +102,7 @@ def _named_checks(witnesses: list, tag) -> tuple:
 
 # --- framework -------------------------------------------------------------
 
-def _frame_5sqrt(bound: int | None) -> tuple[bool, list]:
-    u_max = bound or 1000
+def _frame_5sqrt(u_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     for u in range(2, min(100, u_max) + 1):
@@ -122,8 +121,7 @@ def _frame_5sqrt(bound: int | None) -> tuple[bool, list]:
 
 # --- alternating groups ----------------------------------------------------
 
-def _alt_bound(bound: int | None) -> tuple[bool, list]:
-    n_max = bound or 200
+def _alt_bound(n_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     for n in range(8, n_max + 1):
@@ -139,8 +137,7 @@ def _alt_bound(bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _alt_ratio(bound: int | None) -> tuple[bool, list]:
-    n_max = bound or 200
+def _alt_ratio(n_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     for n in range(11, n_max + 1):
@@ -223,8 +220,7 @@ def _alt_a7(_bound: int | None) -> tuple[bool, list]:
 
 # --- linear groups ---------------------------------------------------------
 
-def _psl_c2c5(bound: int | None) -> tuple[bool, list]:
-    n_max = bound or 50
+def _psl_c2c5(n_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     for n in range(4, n_max + 1):
@@ -238,8 +234,7 @@ def _psl_c2c5(bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _psl_divis(bound: int | None) -> tuple[bool, list]:
-    n_max = bound or 100
+def _psl_divis(n_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
 
@@ -320,8 +315,7 @@ def _psl_73(_bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _psl2_parab(bound: int | None) -> tuple[bool, list]:
-    a_max = bound or 60
+def _psl2_parab(a_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     for a in range(2, a_max + 1):
@@ -388,8 +382,7 @@ def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _psl2_subfield(bound: int | None) -> tuple[bool, list]:
-    q_max = bound or 10**6
+def _psl2_subfield(q_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     checked_high = checked_low = 0
@@ -450,8 +443,7 @@ def _psl3_q13(_bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _psl3_type67(bound: int | None) -> tuple[bool, list]:
-    q_max = bound or 64
+def _psl3_type67(q_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     passing = []
@@ -487,11 +479,10 @@ def _unitary_first_index(a: int, n: int) -> int:
     return value // (q * q - 1)
 
 
-def _u_parab_mod(bound: int | None) -> tuple[bool, list]:
-    n_max = bound or 50
+def _u_parab_mod(n_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
-    strip = small_primes(100_000)
+    strip = small_primes(10_000)
     passes, undecided = [], []
     fail_count = 0
 
@@ -593,8 +584,7 @@ def _u_n6_b2(_bound: int | None) -> tuple[bool, list]:
 
 # --- symplectic groups -----------------------------------------------------
 
-def _sp_parab(bound: int | None) -> tuple[bool, list]:
-    q_max = bound or 10_000
+def _sp_parab(q_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     count = 0
@@ -677,8 +667,7 @@ def _e6_scaled(coeffs: tuple[int, ...], q: int) -> int:
     return sum(c * q ** (8 - i) for i, c in enumerate(coeffs))
 
 
-def _e6_sandwich(bound: int | None) -> tuple[bool, list]:
-    q_max = bound or 1024
+def _e6_sandwich(q_max: int) -> tuple[bool, list]:
     s = _E6_SCALE
     ok = True
     witnesses = []
@@ -849,8 +838,7 @@ def _f4_cent(_bound: int | None) -> tuple[bool, list]:
     return ok, witnesses
 
 
-def _e_char2_parab(bound: int | None) -> tuple[bool, list]:
-    a_max = bound or 10
+def _e_char2_parab(a_max: int) -> tuple[bool, list]:
     ok = True
     witnesses = []
     nine_count = bad_piece_count = 0
@@ -884,8 +872,7 @@ def _e_char2_parab(bound: int | None) -> tuple[bool, list]:
 
 # --- number theory ---------------------------------------------------------
 
-def _ljunggren_scan(bound: int | None) -> tuple[bool, list]:
-    u_max = bound or 10**6
+def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
     v_max = u_max * u_max + u_max + 1
     # u**2 < u**2 + u + 1 < (u + 1)**2, so the value is never a square: only
     # p**k with odd k >= 3 can hit, and then p**3 <= v_max.  This is the

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Any
 
 from .exactmath import geom_sum
-from .groups import GroupSpec, order
+from .groups import GroupSpec
 
 CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
@@ -396,9 +396,6 @@ class InvolutionClass:
 
     group: GroupSpec
     label: str
-    exact: bool
-    parity: str
-    anchor: str
 
     @property
     def template(self) -> dict[str, Any]:
@@ -429,13 +426,8 @@ def _matches(valid: dict[str, Any], spec: GroupSpec) -> bool:
 
 def classes_for(spec: GroupSpec) -> tuple[InvolutionClass, ...]:
     """All catalog classes whose validity window covers spec."""
-    out = []
-    for t in CLASS_TEMPLATES:
-        if t["family"] == spec.family and _matches(t["valid"], spec):
-            out.append(InvolutionClass(group=spec, label=t["label"],
-                                       exact=t["exact"], parity=t["parity"],
-                                       anchor=t["anchor"]))
-    return tuple(out)
+    return tuple(InvolutionClass(group=spec, label=t["label"]) for t in CLASS_TEMPLATES
+                 if t["family"] == spec.family and _matches(t["valid"], spec))
 
 
 def _linear(form: list[int], n: int | None) -> int:
@@ -495,11 +487,6 @@ def involution_class_size(entry: InvolutionClass) -> int:
     if value % den:
         raise ValueError(f"{entry.label}: constant denominator {den} does not divide")
     return value // den
-
-
-def class_divides_order(entry: InvolutionClass) -> bool:
-    """Exact-flag invariant: the class size divides the group order."""
-    return order(entry.group) % involution_class_size(entry) == 0
 
 
 def catalog_records() -> list[dict[str, Any]]:

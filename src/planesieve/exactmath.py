@@ -201,17 +201,6 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
             yield Factorization(x * x + x + 1, tuple(sorted(acc.items())))
 
 
-def merge_factorizations(*parts: Factorization) -> Factorization:
-    """Factorization of the product of the parts (counts added)."""
-    acc: dict[int, int] = {}
-    value = 1
-    for f in parts:
-        value *= f.value
-        for p, e in f.factors:
-            acc[p] = acc.get(p, 0) + e
-    return Factorization(value, tuple(sorted(acc.items())))
-
-
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """(p, a) with p**a == n and p prime, or None.  Requires n >= 2.
     Found by exact root extraction alone, never by factoring, so it stays

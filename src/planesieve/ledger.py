@@ -32,10 +32,10 @@ CheckFn = Callable[[int | None], tuple[bool, list]]
 class CaseCheck:
     """One registered case: a check callable plus reporting metadata.
 
-    bound_kind names the scan variable a caller may cap ("u", "n", "q"
-    or "a"); None marks a fixed-domain case that accepts no bound.  The
-    check receives the effective bound (or None) and returns (ok,
-    witnesses).
+    default_bound caps the registered scan, and None marks a fixed-domain
+    case that accepts no bound; bound_kind names the scan variable a
+    caller may cap ("u", "n", "q" or "a").  The check receives the
+    effective bound (or None) and returns (ok, witnesses).
     """
 
     id: str
@@ -74,18 +74,14 @@ def replay(case_id: str, bound: int | None = None,
     """Run one case.  A bound may only tighten the registered default."""
     case = get_case(case_id, registry)
     if bound is not None:
-        if case.bound_kind is None:
+        if case.default_bound is None:
             raise ValueError(f"case {case.id} has a fixed domain and takes no bound")
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-    effective = case.default_bound
-    if bound is not None and case.default_bound is not None:
-        effective = min(bound, case.default_bound)
+    truncated = bound is not None and bound < case.default_bound
     start = time.perf_counter()
-    ok, witnesses = case.check(effective)
+    ok, witnesses = case.check(bound if truncated else case.default_bound)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    truncated = (effective is not None and case.default_bound is not None
-                 and effective < case.default_bound)
     if not ok:
         verdict = Verdict.VIOLATED
     elif truncated:
@@ -93,8 +89,7 @@ def replay(case_id: str, bound: int | None = None,
     else:
         verdict = Verdict.ELIMINATED
     return CaseResult(id=case.id, verdict=verdict, witnesses=tuple(witnesses),
-                      elapsed_ms=elapsed_ms,
-                      bound=effective if truncated else None)
+                      elapsed_ms=elapsed_ms, bound=bound if truncated else None)
 
 
 def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None,

@@ -15,22 +15,21 @@ from enum import Enum
 from itertools import pairwise
 from math import gcd, isqrt
 
-from .exactmath import Factorization, factorize, merge_factorizations, phi3_factorizations
+from .exactmath import Factorization, factorize, phi3_factorizations
 
 
 @dataclass(frozen=True)
 class PlaneOrder:
-    """Square plane order x = u**2 with v = x**2 + x + 1.  plus_factors is
-    the factorization of u**2 + u + 1, the form ljunggren_classify takes;
-    v_factors merges it with that of u**2 - u + 1."""
+    """Square plane order x = u**2 with v = x**2 + x + 1.  plus_factors and
+    minus_factors are the factorizations of u**2 + u + 1 (the form
+    ljunggren_classify takes) and of u**2 - u + 1; v_factors holds their
+    primes side by side, the halves being coprime."""
 
     u: int
-    x: int
     v: int
     v_factors: Factorization
     plus_factors: Factorization
-    factor_plus: int   # u**2 + u + 1
-    factor_minus: int  # u**2 - u + 1
+    minus_factors: Factorization
 
 
 def plane_orders(u_min: int, u_max: int) -> list[PlaneOrder]:
@@ -42,13 +41,13 @@ def plane_orders(u_min: int, u_max: int) -> list[PlaneOrder]:
         raise ValueError(f"plane_orders expects 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
     out = []
     halves = pairwise(phi3_factorizations(u_min - 1, u_max))
-    for u, (minus_factors, plus_factors) in zip(range(u_min, u_max + 1), halves):
-        x, plus, minus = u * u, plus_factors.value, minus_factors.value
+    for u, (minus, plus) in zip(range(u_min, u_max + 1), halves):
+        x = u * u
         v = x * x + x + 1
-        assert v == plus * minus and gcd(plus, minus) == 1
-        out.append(PlaneOrder(u=u, x=x, v=v,
-                              v_factors=merge_factorizations(plus_factors, minus_factors),
-                              plus_factors=plus_factors, factor_plus=plus, factor_minus=minus))
+        assert v == plus.value * minus.value and gcd(plus.value, minus.value) == 1
+        v_factors = Factorization(v, tuple(sorted(plus.factors + minus.factors)))
+        out.append(PlaneOrder(u=u, v=v, v_factors=v_factors,
+                              plus_factors=plus, minus_factors=minus))
     return out
 
 

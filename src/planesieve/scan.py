@@ -24,21 +24,10 @@ U_CAP = 10**6
 
 @dataclass(frozen=True)
 class GateVerdict:
-    """Outcome of the counting gate for one plane order and one group.
-
-    class_modes records, per catalog involution class, "pass" (the
-    class size is a multiple of u^2-u+1, so r = class_size/(u^2-u+1)
-    makes the counting identity land exactly on v) or "non-divisor".
-    floor_ok reports the index-floor comparison v > floor;
-    None means no floor is available for the family.
-    """
+    """Outcome of the counting gate for one plane order and one group."""
 
     spec: str
     outcome: str  # "pass" | "fail" | "uncovered"
-    class_modes: tuple[tuple[str, str], ...]
-    witness_r: int | None = None
-    floor: int | None = None
-    floor_ok: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -53,45 +42,39 @@ class SieveRow:
 @dataclass(frozen=True)
 class Candidate:
     """What the counting gate needs of a candidate group, none of which
-    depends on the plane order: the (label, involution class size) pair
-    of each catalog class, and the index floor (None when no floor is
-    wired for the family or no catalog class covers the group)."""
+    depends on the plane order: the size of each catalog involution
+    class, and the index floor (None when no floor is wired for the
+    family or no catalog class covers the group)."""
 
-    spec: GroupSpec
     name: str
-    sizes: tuple[tuple[str, int], ...]
+    sizes: tuple[int, ...]
     floor: int | None
 
 
 def prepare_candidate(spec: GroupSpec) -> Candidate:
     """Evaluate spec's class sizes and index floor, once per scan."""
-    sizes = tuple((entry.label, involution_class_size(entry)) for entry in classes_for(spec))
-    return Candidate(spec=spec, name=str(spec), sizes=sizes,
+    sizes = tuple(involution_class_size(entry) for entry in classes_for(spec))
+    return Candidate(name=str(spec), sizes=sizes,
                      floor=min_proper_index(spec) if sizes else None)
 
 
 def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
     """Test whether any catalog involution class of the candidate admits
-    the counting identity v = (n_g/r_g)(u^2+u+1) at this plane order.
-    The candidate's data is precomputed, so only the divisibility by
-    u^2-u+1 is left to each row."""
+    the counting identity v = (n_g/r_g)(u^2+u+1) at this plane order:
+    some class size n_g must be a multiple of u^2-u+1, and v must exceed
+    the index floor.  The candidate's data is precomputed, so only these
+    two tests are left to each row."""
     if not cand.sizes:
-        return GateVerdict(spec=cand.name, outcome="uncovered", class_modes=())
-
-    ratio = plane.factor_minus
-    modes = tuple((label, "non-divisor" if n_g % ratio else "pass") for label, n_g in cand.sizes)
-    witness_r = next((n_g // ratio for _, n_g in cand.sizes if n_g % ratio == 0), None)
-    floor_ok = None if cand.floor is None else plane.v > cand.floor
-
-    passed = witness_r is not None and floor_ok is not False
-    return GateVerdict(spec=cand.name, outcome="pass" if passed else "fail",
-                       class_modes=modes, witness_r=witness_r,
-                       floor=cand.floor, floor_ok=floor_ok)
+        return GateVerdict(spec=cand.name, outcome="uncovered")
+    ratio = plane.minus_factors.value
+    passed = (any(n_g % ratio == 0 for n_g in cand.sizes)
+              and (cand.floor is None or plane.v > cand.floor))
+    return GateVerdict(spec=cand.name, outcome="pass" if passed else "fail")
 
 
 def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
     factors = plane.v_factors
-    trace = [("coprime-halves", gcd(plane.factor_plus, plane.factor_minus) == 1),
+    trace = [("coprime-halves", gcd(plane.plus_factors.value, plane.minus_factors.value) == 1),
              ("admissible-value", admissible_index(factors))]
 
     cls = ljunggren_classify(plane.plus_factors)

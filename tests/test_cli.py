@@ -120,6 +120,29 @@ def test_ledger_output_golden_digest(capsys):
         "0cffc87aca466edf8e26269f7fedb84f5aa4b002fcf361a37bb5099fb545383e")
 
 
+def test_bounded_replay_golden_digest(capsys):
+    # byte-for-byte pin of `verify <id> --bound b` for every bounded case
+    # at b = 1, default//2 and default-1, in text and structured form
+    # without timings, plus the usage error of a bound on a fixed case
+    texts = []
+    for case in REGISTRY:
+        if case.default_bound is None:
+            continue
+        for bound in (1, case.default_bound // 2, case.default_bound - 1):
+            argv = ("verify", case.id, "--bound", str(bound))
+            code, out, _ = _run(capsys, *argv)
+            texts.append(f"{code}\n" + re.sub(r"\([0-9.]+ ms\)", "(_ ms)", out))
+            code, out, _ = _run(capsys, *argv, "--format", "structured")
+            record = json.loads(out)
+            record.pop("elapsed_ms")
+            texts.append(f"{code}\n{json.dumps(record, sort_keys=True)}\n")
+    assert len(texts) == 6 * 13
+    code, out, err = _run(capsys, "verify", "SPORADIC", "--bound", "3")
+    texts.append(f"{code}\n{out}{err}")
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "9cda9a224102d32649c41e9aa327934b6d1e8d41816ce584b28115fd81afda45")
+
+
 def test_verify_all_truncation_exit_code(capsys):
     code, out, _ = _run(capsys, "verify-all", "--u-max", "10")
     assert code == 1

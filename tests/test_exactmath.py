@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from planesieve.exactmath import (Factorization, cyclotomic_pieces, factor_cyclotomic_ratio,
                                   factorize, gaussian_binomial, geom_sum, is_prime, is_prime_power,
-                                  merge_factorizations, nth_root, phi3_factorizations,
-                                  small_primes)
+                                  nth_root, phi3_factorizations, small_primes)
 
 from _oracles import brute_subspace_count, cyclotomic_value
 
@@ -105,12 +104,6 @@ def test_factorize_round_trip_random():
 ])
 def test_factorize_known(n, factors):
     assert factorize(n).factors == factors
-
-
-def test_merge_factorizations():
-    merged = merge_factorizations(factorize(12), factorize(18))
-    assert merged.value == 216
-    assert merged.factors == ((2, 3), (3, 3))
 
 
 def test_is_prime_power_full_small_range():

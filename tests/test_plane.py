@@ -1,6 +1,7 @@
 """Plane-order arithmetic: factor split, admissibility, prime-power
 classification, the quadratic-ratio inverse, and the counting chain."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -8,20 +9,21 @@ import pytest
 from planesieve.exactmath import factorize, is_prime_power, phi3_factorizations
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
-                              ljunggren_classify, plane_order, quadratic_ratio_root)
+                              ljunggren_classify, plane_order, plane_orders,
+                              quadratic_ratio_root)
 
 
 def test_plane_order_u2():
     plane = plane_order(2)
-    assert (plane.u, plane.x, plane.v) == (2, 4, 21)
-    assert (plane.factor_plus, plane.factor_minus) == (7, 3)
+    assert (plane.u, plane.v) == (2, 21)
+    assert (plane.plus_factors.value, plane.minus_factors.value) == (7, 3)
     assert plane.v_factors.factors == ((3, 1), (7, 1))
 
 
 def test_plane_order_u18_exceptional():
     plane = plane_order(18)
     assert plane.v == 105301
-    assert (plane.factor_plus, plane.factor_minus) == (343, 307)
+    assert (plane.plus_factors.value, plane.minus_factors.value) == (343, 307)
     assert plane.v_factors.factors == ((7, 3), (307, 1))
 
 
@@ -38,13 +40,22 @@ def test_plane_order_requires_u_at_least_2():
 def test_plane_order_identities():
     for u in range(2, 300):
         plane = plane_order(u)
-        assert plane.x == u * u
-        assert plane.v == plane.x**2 + plane.x + 1
-        assert plane.factor_plus == u * u + u + 1
-        assert plane.factor_minus == u * u - u + 1
-        assert plane.factor_plus * plane.factor_minus == plane.v
-        assert gcd(plane.factor_plus, plane.factor_minus) == 1
+        plus, minus = plane.plus_factors.value, plane.minus_factors.value
+        assert plane.v == u**4 + u**2 + 1
+        assert plus == u * u + u + 1
+        assert minus == u * u - u + 1
+        assert plus * minus == plane.v
+        assert gcd(plus, minus) == 1
         assert plane.v_factors.reassemble() == plane.v
+
+
+@pytest.mark.parametrize("u_min,u_max", [(2, 3000), (999001, 10**6)])
+def test_v_factors_merge_the_halves(u_min, u_max):
+    for plane in plane_orders(u_min, u_max):
+        u = plane.u
+        merged = Counter(dict(factorize(u * u + u + 1).factors))
+        merged.update(dict(factorize(u * u - u + 1).factors))
+        assert plane.v_factors.factors == tuple(sorted(merged.items()))
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -38,31 +38,29 @@ def _gate(plane: PlaneOrder, spec: GroupSpec):
 
 
 def test_candidate_gate_pass_at_u4():
-    verdict = _gate(plane_order(4), group_spec("PSL", n=2, q=13))
-    assert verdict.outcome == "pass"
-    assert verdict.witness_r == 7
-    assert ("psl2-odd-plus", "pass") in verdict.class_modes
-    assert verdict.floor == 14 and verdict.floor_ok is True
+    plane, cand = plane_order(4), prepare_candidate(group_spec("PSL", n=2, q=13))
+    assert candidate_gate(plane, cand).outcome == "pass"
+    # r = 91/13 = 7 involutions through a point, and v = 273 clears the floor
+    assert cand.sizes == (91,) and plane.minus_factors.value == 13
+    assert cand.floor == 14
 
 
 def test_candidate_gate_non_divisor_at_u2():
     verdict = _gate(plane_order(2), group_spec("PSL", n=2, q=13))
     assert verdict.outcome == "fail"
-    assert verdict.class_modes == (("psl2-odd-plus", "non-divisor"),)
 
 
 def test_candidate_gate_floor_kills_g2_at_u3():
-    verdict = _gate(plane_order(3), group_spec("G2", q=7))
-    assert verdict.outcome == "fail"
-    assert verdict.floor == 19608 and verdict.floor_ok is False
-    # the class divides through, so only the index floor fails
-    assert ("g2", "pass") in verdict.class_modes
+    plane, cand = plane_order(3), prepare_candidate(group_spec("G2", q=7))
+    assert candidate_gate(plane, cand).outcome == "fail"
+    # a class divides through, so only the index floor fails
+    assert any(n_g % plane.minus_factors.value == 0 for n_g in cand.sizes)
+    assert plane.v <= cand.floor == 19608
 
 
 def test_candidate_gate_uncovered_family():
     verdict = _gate(plane_order(3), group_spec("A", n=7))
     assert verdict.outcome == "uncovered"
-    assert verdict.class_modes == ()
 
 
 def test_candidate_survivors_frozen():
