@@ -2,9 +2,11 @@
 
 Each function here replays one bounded counting argument: an inequality
 scan, a divisibility table, a branch-by-branch contradiction, or a
-brute-force count.  A check receives its effective scan bound (None for
-fixed-domain cases) and returns (ok, witnesses); the ledger wraps the
-pair into a verdict.
+brute-force count.  The _case decorator above each check declares its
+id, claim and bound, and REGISTRY lists the checks in definition order.
+A check receives its effective scan bound (None for fixed-domain cases),
+records failure and success witnesses on a _Record, and returns its
+(ok, witnesses); the ledger wraps the pair into a verdict.
 
 Conventions: witnesses are flat tuples of ints and short tags, decisive
 counterexamples are always recorded, and anything labeled a dual
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb, gcd, isqrt, prod
+from typing import Callable
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
                         is_prime_power, nth_root, phi3_factorizations, small_primes)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
-from .ledger import CaseCheck
+from .ledger import CaseCheck, CheckFn
 from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
                     involution_counts, ljunggren_classify, quadratic_ratio_root)
 
@@ -82,71 +85,102 @@ def _class_size(spec, label: str) -> int:
     raise LookupError(f"no catalog class {label!r} covers {spec}")
 
 
-def _named_checks(witnesses: list, tag) -> tuple:
-    """Shared accumulator for branch-by-branch cases: expect() records a
-    failure witness and flips the shared flag, confirm() records success."""
-    state = {"ok": True}
+class _Record:
+    """A check's outcome: ok until the first failure witness.
 
-    def expect(name: str, condition: bool) -> None:
-        if not condition:
-            state["ok"] = False
-            witnesses.append(("failed", tag, name))
+    fail() records a failure witness and note() a success witness.  For
+    branch-by-branch cases, branch(tag) returns the branch's expect(name,
+    condition), and confirm(tag) records the branch as confirmed unless
+    one of its expectations failed.
+    """
 
-    def confirm() -> bool:
-        if state["ok"]:
-            witnesses.append((tag, "confirmed"))
-        return state["ok"]
+    def __init__(self) -> None:
+        self.ok = True
+        self.witnesses: list = []
+        self._failed: set = set()
 
-    return expect, confirm
+    def fail(self, *witness) -> None:
+        self.ok = False
+        self.witnesses.append(witness)
+
+    def note(self, *witness) -> None:
+        self.witnesses.append(witness)
+
+    def branch(self, tag) -> Callable[[str, bool], None]:
+        def expect(name: str, condition: bool) -> None:
+            if not condition:
+                self._failed.add(tag)
+                self.fail("failed", tag, name)
+        return expect
+
+    def confirm(self, tag) -> None:
+        if tag not in self._failed:
+            self.note(tag, "confirmed")
+
+
+_REGISTERED: list[CaseCheck] = []
+
+
+def _case(**metadata) -> Callable[[CheckFn], CheckFn]:
+    """Register the decorated check with its reporting metadata; the
+    registry keeps definition order."""
+    def register(check: CheckFn) -> CheckFn:
+        _REGISTERED.append(CaseCheck(check=check, **metadata))
+        return check
+    return register
 
 
 # --- framework -------------------------------------------------------------
 
+@_case(id="FRAME-5SQRT", section="framework/order-bound",
+       anchor="x^2+x+1 stays below 5^u for x = u^2, directly to u = 100 "
+              "and by an increasing ratio beyond",
+       parameters="direct scan 2 <= u <= 100; ratio monotone on 100 < u <= 1000",
+       default_bound=1000, bound_kind="u")
 def _frame_5sqrt(u_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for u in range(2, min(100, u_max) + 1):
         if not u**4 + u**2 + 1 < 5**u:
-            ok = False
-            witnesses.append(("direct-failure", u))
+            rec.fail("direct-failure", u)
     for u in range(max(2, 100), u_max):
         if not 5 * (u**4 + u**2 + 1) > (u + 1) ** 4 + (u + 1) ** 2 + 1:
-            ok = False
-            witnesses.append(("ratio-failure", u))
-    if ok:
-        witnesses.append(("direct", 2, min(100, u_max)))
-        witnesses.append(("ratio-monotone", 100, u_max))
-    return ok, witnesses
+            rec.fail("ratio-failure", u)
+    if rec.ok:
+        rec.note("direct", 2, min(100, u_max))
+        rec.note("ratio-monotone", 100, u_max)
+    return rec.ok, rec.witnesses
 
 
 # --- alternating groups ----------------------------------------------------
 
+@_case(id="ALT-BOUND", section="alternating/degree-bound",
+       anchor="2^floor(n/2) < n^4 holds exactly for degrees n <= 43",
+       parameters="8 <= n <= 200", default_bound=200, bound_kind="n")
 def _alt_bound(n_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for n in range(8, n_max + 1):
         holds = 2 ** (n // 2) < n**4
         if holds != (n <= 43):
-            ok = False
-            witnesses.append(("cutoff-failure", n))
-    if ok:
+            rec.fail("cutoff-failure", n)
+    if rec.ok:
         if n_max >= 43:
-            witnesses.append(("last-pass", 43, 2**21, 43**4))
+            rec.note("last-pass", 43, 2**21, 43**4)
         if n_max >= 44:
-            witnesses.append(("first-fail", 44, 2**22, 44**4))
-    return ok, witnesses
+            rec.note("first-fail", 44, 2**22, 44**4)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="ALT-RATIO", section="alternating/ratio-bound",
+       anchor="n(n-1) < 3(n-4)(n-5) for every degree n >= 11",
+       parameters="11 <= n <= 200", default_bound=200, bound_kind="n")
 def _alt_ratio(n_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for n in range(11, n_max + 1):
         if not n * (n - 1) < 3 * (n - 4) * (n - 5):
-            ok = False
-            witnesses.append(("ratio-failure", n))
-    if ok:
-        witnesses.append(("tightest", 11, 11 * 10, 3 * 7 * 6))
-    return ok, witnesses
+            rec.fail("ratio-failure", n)
+    if rec.ok:
+        rec.note("tightest", 11, 11 * 10, 3 * 7 * 6)
+    return rec.ok, rec.witnesses
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -165,78 +199,80 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def _is_even(perm: tuple[int, ...]) -> bool:
+def _is_even(cycles: list[int]) -> bool:
     # a permutation's parity is that of its size minus its cycle count
-    return (len(perm) - len(_cycle_lengths(perm))) % 2 == 0
+    return (sum(cycles) - len(cycles)) % 2 == 0
 
 
+def _even_doubles(perms) -> int:
+    """How many of perms are even with the cycle type of a double
+    transposition on 7 points."""
+    return sum(1 for cycles in map(_cycle_lengths, perms)
+               if _is_even(cycles) and cycles == [1, 1, 1, 2, 2])
+
+
+@_case(id="ALT-A7", section="alternating/degree-7",
+       anchor="degree 7 has 105 double transpositions; the stabilizer "
+              "candidates hold 25, 45, and 15 of them, and each count "
+              "breaks the chain at a recorded step",
+       parameters="brute force over all 5040 permutations of 7 points")
 def _alt_a7(_bound: int | None) -> tuple[bool, list]:
-    double = [1, 1, 1, 2, 2]
-    n_g = sum(1 for p in permutations(range(7))
-              if _is_even(p) and _cycle_lengths(p) == double)
+    n_g = _even_doubles(permutations(range(7)))
+    # S5 sits in A7 with each odd sigma also swapping 5 and 6
+    s5_count = _even_doubles(sigma + ((5, 6) if _is_even(_cycle_lengths(sigma)) else (6, 5))
+                             for sigma in permutations(range(5)))
+    a6_count = _even_doubles(sigma + (6,) for sigma in permutations(range(6)))
+    a5_count = _even_doubles(sigma + (5, 6) for sigma in permutations(range(5)))
 
-    s5_count = 0
-    for sigma in permutations(range(5)):
-        tail = (5, 6) if _is_even(sigma) else (6, 5)
-        if _cycle_lengths(sigma + tail) == double:
-            s5_count += 1
-    a6_count = sum(1 for sigma in permutations(range(6))
-                   if _is_even(sigma)
-                   and _cycle_lengths(sigma + (6,)) == double)
-    a5_count = sum(1 for sigma in permutations(range(5))
-                   if _is_even(sigma)
-                   and _cycle_lengths(sigma + (5, 6)) == double)
-
-    ok = True
-    witnesses = []
+    rec = _Record()
     if n_g != 105 or n_g != comb(7, 2) * comb(5, 2) // 2:
-        ok = False
-        witnesses.append(("class-size-mismatch", n_g))
+        rec.fail("class-size-mismatch", n_g)
     if (s5_count, a6_count, a5_count) != (25, 45, 15):
-        ok = False
-        witnesses.append(("subgroup-count-mismatch", s5_count, a6_count, a5_count))
+        rec.fail("subgroup-count-mismatch", s5_count, a6_count, a5_count)
 
     if n_g % s5_count == 0:
-        ok = False
-        witnesses.append(("S5-unexpected-integrality", n_g, s5_count))
+        rec.fail("S5-unexpected-integrality", n_g, s5_count)
     else:
-        witnesses.append(("S5", s5_count, "ratio-not-integer"))
+        rec.note("S5", s5_count, "ratio-not-integer")
     if n_g % a6_count == 0:
-        ok = False
-        witnesses.append(("A6-unexpected-integrality", n_g, a6_count))
+        rec.fail("A6-unexpected-integrality", n_g, a6_count)
     else:
-        witnesses.append(("A6", a6_count, "ratio-not-integer"))
+        rec.note("A6", a6_count, "ratio-not-integer")
 
     counts = involution_counts(n_g, a5_count)
     index_a5 = 2520 // 60
     if counts is None or counts.v % index_a5 == 0:
-        ok = False
-        witnesses.append(("A5-chain-mismatch",))
+        rec.fail("A5-chain-mismatch")
     else:
-        witnesses.append(("A5", a5_count, "ratio", counts.ratio,
-                          "v", counts.v, "index", index_a5, "v-indivisible"))
-    return ok, witnesses
+        rec.note("A5", a5_count, "ratio", counts.ratio,
+                 "v", counts.v, "index", index_a5, "v-indivisible")
+    return rec.ok, rec.witnesses
 
 
 # --- linear groups ---------------------------------------------------------
 
+@_case(id="PSL-C2C5", section="linear/stabilizer-p-part",
+       anchor="2(n^2-5n+8) <= n(n-1) holds exactly for dimensions n < 7",
+       parameters="4 <= n <= 50", default_bound=50, bound_kind="n")
 def _psl_c2c5(n_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for n in range(4, n_max + 1):
         holds = 2 * (n * n - 5 * n + 8) <= n * (n - 1)
         if holds != (n < 7):
-            ok = False
-            witnesses.append(("cutoff-failure", n))
-    if ok and n_max >= 7:
-        witnesses.append(("last-pass", 6, 28, 30))
-        witnesses.append(("first-fail", 7, 44, 42))
-    return ok, witnesses
+            rec.fail("cutoff-failure", n)
+    if rec.ok and n_max >= 7:
+        rec.note("last-pass", 6, 28, 30)
+        rec.note("first-fail", 7, 44, 42)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL-DIVIS", section="linear/parabolic-binomials",
+       anchor="admissibility of binomial(n, m) first holds at n = 7 for "
+              "m <= 2 and n = 39 for m = 3, never for m = 4 through 70, "
+              "and for even n below 70 only at (14,2), (38,2), (62,2)",
+       parameters="n <= 100, m <= 8", default_bound=100, bound_kind="n")
 def _psl_divis(n_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
 
     def adm(n: int, m: int) -> bool:
         return admissible_index(comb(n, m))
@@ -244,53 +280,50 @@ def _psl_divis(n_max: int) -> tuple[bool, list]:
     first_low = next((n for n in range(5, n_max + 1, 2) if adm(n, 1) or adm(n, 2)), None)
     if n_max >= 7:
         if first_low != 7 or not (adm(7, 1) and adm(7, 2)):
-            ok = False
-            witnesses.append(("m12-first-pass-mismatch", first_low))
+            rec.fail("m12-first-pass-mismatch", first_low)
         else:
-            witnesses.append(("m12-first-pass", 7))
+            rec.note("m12-first-pass", 7)
 
     first_m3 = next((n for n in range(5, n_max + 1, 2) if adm(n, 3)), None)
     if n_max >= 39:
         if first_m3 != 39:
-            ok = False
-            witnesses.append(("m3-first-pass-mismatch", first_m3))
+            rec.fail("m3-first-pass-mismatch", first_m3)
         else:
-            witnesses.append(("m3-first-pass", 39, comb(39, 3)))
+            rec.note("m3-first-pass", 39, comb(39, 3))
     elif first_m3 is not None:
-        ok = False
-        witnesses.append(("m3-early-pass", first_m3))
+        rec.fail("m3-early-pass", first_m3)
 
     early_m4 = [n for n in range(5, min(70, n_max) + 1, 2) if adm(n, 4)]
     if early_m4:
-        ok = False
-        witnesses.append(("m4-early-pass", early_m4[0]))
+        rec.fail("m4-early-pass", early_m4[0])
     else:
-        witnesses.append(("m4-none-through", min(70, n_max)))
+        rec.note("m4-none-through", min(70, n_max))
 
     even_pass = sorted((n, m)
                        for n in range(6, min(68, n_max) + 1, 2)
                        for m in (2, 4, 6, 8) if m <= n // 2 and adm(n, m))
     expected = [(n, 2) for n in (14, 38, 62) if n <= min(68, n_max)]
     if even_pass != expected:
-        ok = False
-        witnesses.append(("even-table-mismatch", even_pass))
+        rec.fail("even-table-mismatch", even_pass)
     else:
-        witnesses.append(("even-table", [n for n, _ in expected]))
+        rec.note("even-table", [n for n, _ in expected])
 
     for n in range(4, n_max + 1):
         if (comb(n, 2) % 2 == 0) != (n % 4 in (0, 1)):
-            ok = False
-            witnesses.append(("m2-parity-failure", n))
-    if ok:
-        witnesses.append(("m2-parity", "even exactly when n = 0,1 mod 4"))
-    return ok, witnesses
+            rec.fail("m2-parity-failure", n)
+    if rec.ok:
+        rec.note("m2-parity", "even exactly when n = 0,1 mod 4")
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL-P2-EXC", section="linear/char-2-exceptions",
+       anchor="q^4+1 is 2 mod 3 and divides the (8,4) index; the (9,4) "
+              "and (7,3) indices both exceed the plane-size ceiling",
+       parameters="q in {2, 4, 8, 16}")
 def _psl_p2_exc(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (2, 4, 8, 16):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         expect("q4-mod-3", (q**4 + 1) % 3 == 2)
         expect("q4-divides-index", gaussian_binomial(8, 4, q) % (q**4 + 1) == 0)
         expect("nine-four-index-exceeds-v", gaussian_binomial(9, 4, q) > geom_sum(q, 8) ** 2 // 2)
@@ -298,38 +331,43 @@ def _psl_p2_exc(_bound: int | None) -> tuple[bool, list]:
         expect("seven-three-identity",
                idx73 == (q * q - q + 1) * geom_sum(q, 4) * geom_sum(q, 6))
         expect("seven-three-index-exceeds-v", idx73 > geom_sum(q, 6) ** 2 // 2)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL-73", section="linear/dimension-7-exception",
+       anchor="3(1+q+...+q^6) is not of the form u^2-u+1 at q = 3 or 5",
+       parameters="q in {3, 5}")
 def _psl_73(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (3, 5):
         t = 3 * geom_sum(q, 6)
         if quadratic_ratio_root(t) is not None:
-            ok = False
-            witnesses.append(("unexpected-root", q, t))
+            rec.fail("unexpected-root", q, t)
         else:
-            witnesses.append((q, t, "discriminant", 4 * t - 3, "not-square"))
-    return ok, witnesses
+            rec.note(q, t, "discriminant", 4 * t - 3, "not-square")
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL2-PARAB", section="rank-one/parabolic",
+       anchor="u^2-u is never a 2-power 2^a with a >= 2",
+       parameters="2 <= a <= 60", default_bound=60, bound_kind="a")
 def _psl2_parab(a_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for a in range(2, a_max + 1):
         if quadratic_ratio_root(2**a + 1) is not None:
-            ok = False
-            witnesses.append(("unexpected-root", a))
-    if ok:
-        witnesses.append(("scan", 2, a_max, "no u with u(u-1) a 2-power"))
-    return ok, witnesses
+            rec.fail("unexpected-root", a)
+    if rec.ok:
+        rec.note("scan", 2, a_max, "no u with u(u-1) a 2-power")
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL2-Q13", section="rank-one/dihedral-survivor",
+       anchor="q = 13 is the unique dihedral survivor, with counts "
+              "(91, 7, 13, 21, 273), and 81 > 63 closes it",
+       parameters="prime powers q = 1 mod 4 with p = 1 mod 3, q <= 10^4")
 def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     survivors = []
     for q, p, _ in _prime_powers(10_000):
         if q % 4 != 1 or p % 3 != 1:
@@ -338,10 +376,9 @@ def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
         if u is not None and (q + 2 * u) % ((q + 1) // 2) == 0:
             survivors.append(q)
     if survivors != [13]:
-        ok = False
-        witnesses.append(("survivor-mismatch", survivors))
+        rec.fail("survivor-mismatch", survivors)
     else:
-        witnesses.append(("survivors", 13))
+        rec.note("survivors", 13)
 
     spec = group_spec("PSL", n=2, q=13)
     n_g = _class_size(spec, "psl2-odd-plus")
@@ -351,40 +388,43 @@ def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
                 == (91, 7, 13, 21, 273)
                 and counts.v == 3 * n_g)
     if not tuple_ok:
-        ok = False
-        witnesses.append(("count-tuple-mismatch", n_g))
+        rec.fail("count-tuple-mismatch", n_g)
     else:
-        witnesses.append(("counts", 91, 7, 13, 21, 273))
+        rec.note("counts", 91, 7, 13, 21, 273)
     if not 9 * 9 > 3 * 21:
-        ok = False
-        witnesses.append(("fixed-point-comparison-failure",))
+        rec.fail("fixed-point-comparison-failure")
     else:
-        witnesses.append(("fixed-points", 81, ">", 63))
-    return ok, witnesses
+        rec.note("fixed-points", 81, ">", 63)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL2-PGL", section="rank-one/subfield-pgl",
+       anchor="4(2q-1) differs from (3 sqrt(q) - 3)^2 at q = 49 and 169, "
+              "the only candidate squares",
+       parameters="odd prime squares q < 324 with p = 1 mod 3")
 def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     candidates = [r * r for r in small_primes(17) if r % 6 == 1]
     if candidates != [49, 169]:
-        ok = False
-        witnesses.append(("candidate-mismatch", candidates))
+        rec.fail("candidate-mismatch", candidates)
     for q in (49, 169):
         r = isqrt(q)
         lhs = 4 * (2 * q - 1)
         rhs = (3 * r - 3) ** 2
         if lhs == rhs:
-            ok = False
-            witnesses.append(("unexpected-equality", q))
+            rec.fail("unexpected-equality", q)
         else:
-            witnesses.append((q, lhs, "!=", rhs))
-    return ok, witnesses
+            rec.note(q, lhs, "!=", rhs)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL2-SUBFIELD", section="rank-one/subfield-psl",
+       anchor="the subfield count window contains no multiple of "
+              "1+r+...+r^(a-1): consecutive multiples straddle it",
+       parameters="odd prime powers r, odd a >= 3, r^a <= 10^6",
+       default_bound=10**6, bound_kind="q")
 def _psl2_subfield(q_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     checked_high = checked_low = 0
     for r, _, _ in _prime_powers(isqrt(q_max) + 1):
         if r % 2 == 0 or r < 3:
@@ -395,8 +435,7 @@ def _psl2_subfield(q_max: int) -> tuple[bool, list]:
             altsum = (r**a + 1) // (r + 1)
             if r % 4 == 3:
                 if not plussum > altsum:
-                    ok = False
-                    witnesses.append(("sum-comparison-failure", r, a))
+                    rec.fail("sum-comparison-failure", r, a)
                 checked_high += 1
             else:
                 ratio = r ** (a - 1) * altsum
@@ -405,19 +444,22 @@ def _psl2_subfield(q_max: int) -> tuple[bool, list]:
                 y = r ** (a - 1) + sum((-1) ** j * 2 * r ** (a - 1 - j)
                                        for j in range(1, a - 1))
                 if not (plussum * (y + 3) < lower and plussum * (y + 4) > upper):
-                    ok = False
-                    witnesses.append(("window-not-straddled", r, a))
+                    rec.fail("window-not-straddled", r, a)
                 checked_low += 1
             a += 2
-    if ok:
-        witnesses.append(("pairs", "r=3mod4", checked_high, "r=1mod4", checked_low))
-        witnesses.append(("sample", 5, 3, 558, "<", 565, "and", 589, ">", 575))
-    return ok, witnesses
+    if rec.ok:
+        rec.note("pairs", "r=3mod4", checked_high, "r=1mod4", checked_low)
+        rec.note("sample", 5, 3, 558, "<", 565, "and", 589, ">", 575)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL3-Q13", section="linear/dimension-3-q13",
+       anchor="u^2-u+1 divides the dimension-3 involution count at q = 13 "
+              "only for u in {2, 4, 14, 23}, and no u^2+u+1 among them is "
+              "divisible by both 7 and 61",
+       parameters="both recorded readings of the count: 13^2*3*61 and 3^2*13*61")
 def _psl3_q13(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     q = 13
     readings = {
         "formula": q * q * (q * q + q + 1),
@@ -429,44 +471,42 @@ def _psl3_q13(_bound: int | None) -> tuple[bool, list]:
         found = [u for u in range(2, isqrt(n_g) + 2) if n_g % (u * u - u + 1) == 0]
         union.update(found)
         if found != expected[name]:
-            ok = False
-            witnesses.append(("reading-mismatch", name, found))
+            rec.fail("reading-mismatch", name, found)
         else:
-            witnesses.append((name, n_g, found))
+            rec.note(name, n_g, found)
     for u in sorted(union):
         plus = u * u + u + 1
         if plus % 7 == 0 and plus % 61 == 0:
-            ok = False
-            witnesses.append(("unexpected-joint-divisibility", u, plus))
-    if ok:
-        witnesses.append(("plus-values", 7, 21, 211, 553, "none divisible by 7 and 61"))
-    return ok, witnesses
+            rec.fail("unexpected-joint-divisibility", u, plus)
+    if rec.ok:
+        rec.note("plus-values", 7, 21, 211, 553, "none divisible by 7 and 61")
+    return rec.ok, rec.witnesses
 
 
+@_case(id="PSL3-TYPE67", section="linear/dimension-3-small-q",
+       anchor="24(q^2+q+1) > q^3-q holds exactly for prime powers q <= 25, "
+              "leaving odd characteristics 7, 13, 19",
+       parameters="prime powers q <= 64", default_bound=64, bound_kind="q")
 def _psl3_type67(q_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     passing = []
     for q, p, _ in _prime_powers(q_max):
         if 24 * (q * q + q + 1) > q**3 - q:
             passing.append((q, p))
             if q > 25:
-                ok = False
-                witnesses.append(("pass-above-25", q))
+                rec.fail("pass-above-25", q)
         elif q <= 25:
-            ok = False
-            witnesses.append(("fail-below-26", q))
-    if ok:
-        witnesses.append(("crossover", 25, 15624, ">", 15600))
+            rec.fail("fail-below-26", q)
+    if rec.ok:
+        rec.note("crossover", 25, 15624, ">", 15600)
         if q_max >= 27:
-            witnesses.append(("first-fail", 27, 18168, "<=", 19656))
+            rec.note("first-fail", 27, 18168, "<=", 19656)
         odd_one_mod3 = [q for q, p in passing if q % 2 == 1 and p % 3 == 1]
         if odd_one_mod3 != [7, 13, 19]:
-            ok = False
-            witnesses.append(("surviving-characteristics-mismatch", odd_one_mod3))
+            rec.fail("surviving-characteristics-mismatch", odd_one_mod3)
         else:
-            witnesses.append(("odd-survivors", 7, 13, 19))
-    return ok, witnesses
+            rec.note("odd-survivors", 7, 13, 19)
+    return rec.ok, rec.witnesses
 
 
 # --- unitary groups --------------------------------------------------------
@@ -479,9 +519,13 @@ def _unitary_first_index(a: int, n: int) -> int:
     return value // (q * q - 1)
 
 
+@_case(id="U-PARAB-MOD", section="unitary/parabolic-mod-12",
+       anchor="an admissible first-parabolic index over q = 2^a with a odd "
+              "forces n = 2 mod 12; exponents divisible by 3 admit nothing",
+       parameters="3 <= n <= 50, a in {1, 3, 5, 7, 9}, cyclotomic pieces "
+                  "factored up to 10^18", default_bound=50, bound_kind="n")
 def _u_parab_mod(n_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     strip = small_primes(10_000)
     passes, undecided = [], []
     fail_count = 0
@@ -499,14 +543,12 @@ def _u_parab_mod(n_max: int) -> tuple[bool, list]:
             values = [pieces[d] for d in sorted(pieces)]
             index = _unitary_first_index(a, n)
             if prod(values) != index:
-                ok = False
-                witnesses.append(("piece-identity-failure", a, n))
+                rec.fail("piece-identity-failure", a, n)
                 continue
             v3 = sum(_v3(x) for x in values)
             if a in (3, 9):
                 if v3 < 2:
-                    ok = False
-                    witnesses.append(("nine-floor-failure", a, n, v3))
+                    rec.fail("nine-floor-failure", a, n, v3)
                 continue
             if v3 >= 2:
                 fail_count += 1
@@ -531,80 +573,87 @@ def _u_parab_mod(n_max: int) -> tuple[bool, list]:
 
     for a, n in passes + undecided:
         if n % 12 != 2:
-            ok = False
-            witnesses.append(("implication-failure", a, n))
+            rec.fail("implication-failure", a, n)
 
     for n in range(4, min(20, n_max) + 1):
         spec = group_spec("PSU", n=n, q=2)
         if parabolic_index(spec, 1) != _unitary_first_index(1, n):
-            ok = False
-            witnesses.append(("formula-mismatch", n))
+            rec.fail("formula-mismatch", n)
         direct = admissible_index(parabolic_index(spec, 1))
         screened = (1, n) in passes
         if (1, n) not in undecided and direct != screened:
-            ok = False
-            witnesses.append(("cross-check-failure", n, direct, screened))
+            rec.fail("cross-check-failure", n, direct, screened)
 
-    witnesses.append(("passes", sorted(passes)))
-    witnesses.append(("undecided", sorted(undecided)))
-    witnesses.append(("failures", fail_count))
-    witnesses.append(("empty-columns", 3, 9))
-    return ok, witnesses
+    rec.note("passes", sorted(passes))
+    rec.note("undecided", sorted(undecided))
+    rec.note("failures", fail_count)
+    rec.note("empty-columns", 3, 9)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="U-N5-B1", section="unitary/dimension-5",
+       anchor="only one multiple of q^4 fits below isqrt(2v), and q^4 is "
+              "neither a fixed-point count nor an allowed prime power",
+       parameters="q in {7, 13}")
 def _u_n5_b1(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         cof = (q**5 + 1) // (q + 1)
         expect("cofactor-identity", cof == q**4 - q**3 + q * q - q + 1)
         v = q**4 * cof
         expect("single-multiple", isqrt(2 * v) // q**4 == 1)
         expect("not-quadratic", quadratic_ratio_root(q**4) is None)
         expect("proper-power-excluded", is_prime_power(q**4) == (q, 4) and q**4 != 343)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="U-N6-B2", section="unitary/dimension-6",
+       anchor="only one multiple of q^8 fits below isqrt(2v), and q^8 is "
+              "neither a fixed-point count nor an allowed prime power",
+       parameters="q in {7, 13}")
 def _u_n6_b2(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         cof = (q**4 + q * q + 1) * (q**4 - q**3 + q * q - q + 1)
         expect("cofactor-window", q**8 <= 2 * cof < 4 * q**8)
         v = q**8 * cof
         expect("single-multiple", isqrt(2 * v) // q**8 == 1)
         expect("not-quadratic", quadratic_ratio_root(q**8) is None)
         expect("proper-power-excluded", is_prime_power(q**8) == (q, 8) and q**8 != 343)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
 # --- symplectic groups -----------------------------------------------------
 
+@_case(id="SP-PARAB", section="symplectic/parabolic",
+       anchor="q^2+1 is 2 mod 3 for every prime power q not divisible by 3",
+       parameters="prime powers q <= 10^4", default_bound=10_000, bound_kind="q")
 def _sp_parab(q_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     count = 0
     for q, p, _ in _prime_powers(q_max):
         if p == 3:
             continue
         count += 1
         if (q * q + 1) % 3 != 2:
-            ok = False
-            witnesses.append(("residue-failure", q))
-    if ok:
-        witnesses.append(("checked", count, "sample", 2, 5))
-    return ok, witnesses
+            rec.fail("residue-failure", q)
+    if rec.ok:
+        rec.note("checked", count, "sample", 2, 5)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="SP-N6", section="symplectic/dimension-6",
+       anchor="the dimension-6 ratio branches q^4, q^4+q^2+1, and "
+              "proper-divisor each end in a recorded contradiction",
+       parameters="q in {7, 13, 19, 25, 31}")
 def _sp_n6(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13, 19, 25, 31):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         q2, q4 = q * q, q**4
         n2 = q4 + q2 + 1
         n_g = q4 * n2
@@ -623,19 +672,22 @@ def _sp_n6(_bound: int | None) -> tuple[bool, list]:
         expect("divisor-third", n2 % 3 == 0)
         third = n2 // 3
         expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
 # --- orthogonal groups -----------------------------------------------------
 
+@_case(id="OO-CONTRA", section="orthogonal/odd-dimension",
+       anchor="the ratio stays at most q(q+1), so v falls below both "
+              "half-spin indices q^m(q^m+-1)/2",
+       parameters="n in {7, 9, 11, 13, 15}, q in {7, 13}, all sign pairs")
 def _oo_contra(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for n in (7, 9, 11, 13, 15):
         m = (n - 1) // 2
         for q in (7, 13):
-            expect, confirm = _named_checks(witnesses, (n, q))
+            expect = rec.branch((n, q))
             qm = q**m
             spec = group_spec("POmega", n=n, q=q, eps="o")
             sizes = {e.label: involution_class_size(e) for e in classes_for(spec)}
@@ -648,8 +700,8 @@ def _oo_contra(_bound: int | None) -> tuple[bool, list]:
                     num = q * (q ** (n - 1) - 1)
                     den = (q ** ((n - 3) // 2) + eta * zeta) * (q ** ((n - 1) // 2) - eta)
                     expect(f"ratio-cap-{eta}-{zeta}", 0 < den and num <= q * (q + 1) * den)
-            ok &= confirm()
-    return ok, witnesses
+            rec.confirm((n, q))
+    return rec.ok, rec.witnesses
 
 
 # --- exceptional groups ----------------------------------------------------
@@ -667,10 +719,16 @@ def _e6_scaled(coeffs: tuple[int, ...], q: int) -> int:
     return sum(c * q ** (8 - i) for i, c in enumerate(coeffs))
 
 
+@_case(id="E6-SANDWICH", section="exceptional/e6-sandwich",
+       anchor="a scaled degree-8 polynomial sandwiches u^2-u+1 against "
+              "(q^8+q^4+1)(q^6+q^3+1)(q^2+q+1) for q >= 47; below 47 only "
+              "q = 2 is representable, and its v does not divide either "
+              "E6(2) order",
+       parameters="prime powers 2 <= q <= 1024, scale 32768, both readings "
+                  "of the ambiguous quartic coefficient", default_bound=1024, bound_kind="q")
 def _e6_sandwich(q_max: int) -> tuple[bool, list]:
     s = _E6_SCALE
-    ok = True
-    witnesses = []
+    rec = _Record()
     minus_reading_failures = 0
     upper_count = lower_count = 0
     small_nonrepresentable = []
@@ -680,13 +738,11 @@ def _e6_sandwich(q_max: int) -> tuple[bool, list]:
         u1 = u_scaled - 1
         lower_count += 1
         if not u1 * u1 - s * u1 + s * s < target:
-            ok = False
-            witnesses.append(("lower-failure", q))
+            rec.fail("lower-failure", q)
         if q >= 47:
             upper_count += 1
             if not u_scaled * u_scaled - s * u_scaled + s * s > target:
-                ok = False
-                witnesses.append(("upper-failure", q))
+                rec.fail("upper-failure", q)
             alt = _e6_scaled(_E6_NUM_MINUS, q)
             if not alt * alt - s * alt + s * s > target:
                 minus_reading_failures += 1
@@ -694,10 +750,9 @@ def _e6_sandwich(q_max: int) -> tuple[bool, list]:
             root = quadratic_ratio_root(_e6_triple(q))
             if q == 2:
                 if root is None:
-                    ok = False
-                    witnesses.append(("expected-representable-missing", q))
+                    rec.fail("expected-representable-missing", q)
                 else:
-                    witnesses.append(("q2-representable", root, _e6_triple(2)))
+                    rec.note("q2-representable", root, _e6_triple(2))
                     # The representation is harmless: the plane it would
                     # define has v = 139503 * 140251, and 1009 divides
                     # neither E6(2) order, so no transitive action exists.
@@ -705,27 +760,28 @@ def _e6_sandwich(q_max: int) -> tuple[bool, list]:
                     admits = [eps for eps in "+-"
                               if order(group_spec("E6", q=2, eps=eps)) % v == 0]
                     if admits:
-                        ok = False
-                        witnesses.append(("q2-order-admits-v", admits))
+                        rec.fail("q2-order-admits-v", admits)
                     else:
-                        witnesses.append(("q2-order-excludes-v", v))
+                        rec.note("q2-order-excludes-v", v)
             elif root is not None:
-                ok = False
-                witnesses.append(("unexpected-representable", q, root))
+                rec.fail("unexpected-representable", q, root)
             else:
                 small_nonrepresentable.append(q)
-    witnesses.append(("upper-held", upper_count, "lower-held", lower_count))
-    witnesses.append(("small-nonrepresentable", len(small_nonrepresentable)))
-    witnesses.append(("minus-reading-upper-failures", minus_reading_failures,
-                      "of", upper_count))
-    return ok, witnesses
+    rec.note("upper-held", upper_count, "lower-held", lower_count)
+    rec.note("small-nonrepresentable", len(small_nonrepresentable))
+    rec.note("minus-reading-upper-failures", minus_reading_failures, "of", upper_count)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="E6-MINUS", section="exceptional/e6-minus",
+       anchor="the minus-form trichotomy is empty: small spin ratio, "
+              "multipliers {1, 7, 13}, and a window strictly between the "
+              "7th and 13th multiples of the subgroup index",
+       parameters="q in {7, 13}")
 def _e6_minus(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         q4, q8, q12, q16 = q**4, q**8, q**12, q**16
         lm = q16 * (q * q - q + 1) * (q**6 - q**3 + 1) * (q8 + q4 + 1)
         spec = group_spec("E6", q=q, eps="-")
@@ -753,15 +809,18 @@ def _e6_minus(_bound: int | None) -> tuple[bool, list]:
         expect("window-above-7", 7 * lm < 9 * q**32)
         expect("window-below-13", window_top < 13 * lm)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="3D4-TRICHOT", section="exceptional/triality-d4",
+       anchor="ratio below 7q^8 splits into q^8, 3q^8, and p-free "
+              "branches, each contradicted",
+       parameters="q in {7, 13}")
 def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         q4, q8 = q**4, q**8
         n4 = q8 + q4 + 1
         n_g = q8 * n4
@@ -779,15 +838,18 @@ def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
         expect("seven-below-window", 7 * third < 3 * q8)
         expect("thirteen-above-window", 13 * third > window_top)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="G2-CASES", section="exceptional/g2",
+       anchor="the multiplier-7 branch, the coprime-to-p branch, and the "
+              "small-v branch each fail on exact arithmetic",
+       parameters="q in {7, 13, 19}")
 def _g2_cases(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13, 19):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         q2, q4 = q * q, q**4
         n2 = q4 + q2 + 1
         n_g = q4 * n2
@@ -808,15 +870,19 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
         expect("middle-p-part-gap", (n2 * d_mid) % q == 3 and gcd(n2, q) == 1)
         third = n2 // 3
         expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="F4-CENT", section="exceptional/f4",
+       anchor="every involution centralizer index in the 9-dimensional "
+              "orthogonal group is at least q^4(q^4-1)/2, which closes "
+              "the window below the 7th multiple",
+       parameters="q in {7, 13}")
 def _f4_cent(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for q in (7, 13):
-        expect, confirm = _named_checks(witnesses, q)
+        expect = rec.branch(q)
         q4, q8 = q**4, q**8
         n_g = q8 * (q8 + q4 + 1)
         expect("catalog-match", _class_size(group_spec("F4", q=q), "f4") == n_g)
@@ -834,17 +900,20 @@ def _f4_cent(_bound: int | None) -> tuple[bool, list]:
         expect("ratio-cap", n_g <= floor * ratio_cap)
         v_top = ratio_cap * fixed_count_bound(ratio_cap)
         expect("v-below-7", v_top < 7 * n_g)
-        ok &= confirm()
-    return ok, witnesses
+        rec.confirm(q)
+    return rec.ok, rec.witnesses
 
 
+@_case(id="E-CHAR2-PARAB", section="exceptional/char-2-parabolics",
+       anchor="each even-characteristic parabolic product is divisible by "
+              "9 or carries a factor that is 2 mod 3",
+       parameters="q = 2^a, 1 <= a <= 10", default_bound=10, bound_kind="a")
 def _e_char2_parab(a_max: int) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     nine_count = bad_piece_count = 0
     for a in range(1, a_max + 1):
         q = 2**a
-        expect, confirm = _named_checks(witnesses, a)
+        expect = rec.branch(a)
         expect("q2-residue", (q * q + 1) % 3 == 2)
         expect("q4-residue", (q**4 + 1) % 3 == 2)
         products = [
@@ -865,13 +934,17 @@ def _e_char2_parab(a_max: int) -> tuple[bool, list]:
                 expect(f"{name}-unresolved", False)
             if a <= 3:
                 expect(f"{name}-inadmissible", not admissible_index(value))
-        ok &= confirm()
-    witnesses.append(("nine-divisible", nine_count, "bad-piece", bad_piece_count))
-    return ok, witnesses
+        rec.confirm(a)
+    rec.note("nine-divisible", nine_count, "bad-piece", bad_piece_count)
+    return rec.ok, rec.witnesses
 
 
 # --- number theory ---------------------------------------------------------
 
+@_case(id="LJUNGGREN-SCAN", section="number-theory/prime-power-values",
+       anchor="u^2+u+1 is a proper prime power only at u = 18, value 343",
+       parameters="1 <= u <= 10^6, cross-checked against the classifier "
+                  "for u <= 2000", default_bound=10**6, bound_kind="u")
 def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
     v_max = u_max * u_max + u_max + 1
     # u**2 < u**2 + u + 1 < (u + 1)**2, so the value is never a square: only
@@ -887,40 +960,38 @@ def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
             if w is not None:
                 hits[w - 1] = value
             value *= p * p
-    ok = True
-    witnesses = []
+    rec = _Record()
     seven_cubed_at = None
     for u, value in sorted(hits.items()):
         if value == 343:
             seven_cubed_at = u
         else:
-            ok = False
-            witnesses.append(("unexpected-proper-power", u, value))
+            rec.fail("unexpected-proper-power", u, value)
     if u_max >= 18 and seven_cubed_at != 18:
-        ok = False
-        witnesses.append(("missing-exceptional-value", seven_cubed_at))
+        rec.fail("missing-exceptional-value", seven_cubed_at)
 
     cross = min(u_max, 2000)
     for u, plus in zip(range(1, cross + 1), phi3_factorizations(1, cross)):
         cls = ljunggren_classify(plus)
         hit = hits.get(u)
         if (cls is LjunggrenClass.SEVEN_CUBED) != (hit == 343):
-            ok = False
-            witnesses.append(("oracle-mismatch", u, cls.value))
+            rec.fail("oracle-mismatch", u, cls.value)
         if (cls is LjunggrenClass.OTHER_PRIME_POWER) != (hit not in (None, 343)):
-            ok = False
-            witnesses.append(("oracle-mismatch", u, cls.value))
-    if ok:
-        witnesses.append(("unique-proper-power", 18, 343))
-        witnesses.append(("scanned", 1, u_max, "cross-checked", cross))
-    return ok, witnesses
+            rec.fail("oracle-mismatch", u, cls.value)
+    if rec.ok:
+        rec.note("unique-proper-power", 18, 343)
+        rec.note("scanned", 1, u_max, "cross-checked", cross)
+    return rec.ok, rec.witnesses
 
 
 # --- sporadic groups -------------------------------------------------------
 
+@_case(id="SPORADIC", section="sporadic/odd-index-table",
+       anchor="every recorded sporadic odd subgroup index is divisible by "
+              "9 or by a prime that is 2 mod 3",
+       parameters="12 embedded rows")
 def _sporadic(_bound: int | None) -> tuple[bool, list]:
-    ok = True
-    witnesses = []
+    rec = _Record()
     for name, subgroup, index in SPORADIC_ODD_INDEX:
         problems = []
         if index % 2 == 0:
@@ -930,271 +1001,14 @@ def _sporadic(_bound: int | None) -> tuple[bool, list]:
         if admissible_index(index):
             problems.append("unexpectedly-admissible")
         if problems:
-            ok = False
-            witnesses.append(("failed", name, *problems))
+            rec.fail("failed", name, *problems)
             continue
         if _v3(index) >= 2:
-            witnesses.append((name, subgroup, index, "nine-divides"))
+            rec.note(name, subgroup, index, "nine-divides")
         else:
             bad = min(p for p, _ in factorize(index).factors if p % 3 == 2)
-            witnesses.append((name, subgroup, index, "bad-prime", bad))
-    return ok, witnesses
+            rec.note(name, subgroup, index, "bad-prime", bad)
+    return rec.ok, rec.witnesses
 
 
-# --- registry --------------------------------------------------------------
-
-REGISTRY: tuple[CaseCheck, ...] = (
-    CaseCheck(
-        id="FRAME-5SQRT",
-        section="framework/order-bound",
-        anchor="x^2+x+1 stays below 5^u for x = u^2, directly to u = 100 "
-               "and by an increasing ratio beyond",
-        parameters="direct scan 2 <= u <= 100; ratio monotone on 100 < u <= 1000",
-        check=_frame_5sqrt,
-        default_bound=1000,
-        bound_kind="u",
-    ),
-    CaseCheck(
-        id="ALT-BOUND",
-        section="alternating/degree-bound",
-        anchor="2^floor(n/2) < n^4 holds exactly for degrees n <= 43",
-        parameters="8 <= n <= 200",
-        check=_alt_bound,
-        default_bound=200,
-        bound_kind="n",
-    ),
-    CaseCheck(
-        id="ALT-RATIO",
-        section="alternating/ratio-bound",
-        anchor="n(n-1) < 3(n-4)(n-5) for every degree n >= 11",
-        parameters="11 <= n <= 200",
-        check=_alt_ratio,
-        default_bound=200,
-        bound_kind="n",
-    ),
-    CaseCheck(
-        id="ALT-A7",
-        section="alternating/degree-7",
-        anchor="degree 7 has 105 double transpositions; the stabilizer "
-               "candidates hold 25, 45, and 15 of them, and each count "
-               "breaks the chain at a recorded step",
-        parameters="brute force over all 5040 permutations of 7 points",
-        check=_alt_a7,
-    ),
-    CaseCheck(
-        id="PSL-C2C5",
-        section="linear/stabilizer-p-part",
-        anchor="2(n^2-5n+8) <= n(n-1) holds exactly for dimensions n < 7",
-        parameters="4 <= n <= 50",
-        check=_psl_c2c5,
-        default_bound=50,
-        bound_kind="n",
-    ),
-    CaseCheck(
-        id="PSL-DIVIS",
-        section="linear/parabolic-binomials",
-        anchor="admissibility of binomial(n, m) first holds at n = 7 for "
-               "m <= 2 and n = 39 for m = 3, never for m = 4 through 70, "
-               "and for even n below 70 only at (14,2), (38,2), (62,2)",
-        parameters="n <= 100, m <= 8",
-        check=_psl_divis,
-        default_bound=100,
-        bound_kind="n",
-    ),
-    CaseCheck(
-        id="PSL-P2-EXC",
-        section="linear/char-2-exceptions",
-        anchor="q^4+1 is 2 mod 3 and divides the (8,4) index; the (9,4) "
-               "and (7,3) indices both exceed the plane-size ceiling",
-        parameters="q in {2, 4, 8, 16}",
-        check=_psl_p2_exc,
-    ),
-    CaseCheck(
-        id="PSL-73",
-        section="linear/dimension-7-exception",
-        anchor="3(1+q+...+q^6) is not of the form u^2-u+1 at q = 3 or 5",
-        parameters="q in {3, 5}",
-        check=_psl_73,
-    ),
-    CaseCheck(
-        id="PSL2-PARAB",
-        section="rank-one/parabolic",
-        anchor="u^2-u is never a 2-power 2^a with a >= 2",
-        parameters="2 <= a <= 60",
-        check=_psl2_parab,
-        default_bound=60,
-        bound_kind="a",
-    ),
-    CaseCheck(
-        id="PSL2-Q13",
-        section="rank-one/dihedral-survivor",
-        anchor="q = 13 is the unique dihedral survivor, with counts "
-               "(91, 7, 13, 21, 273), and 81 > 63 closes it",
-        parameters="prime powers q = 1 mod 4 with p = 1 mod 3, q <= 10^4",
-        check=_psl2_q13,
-    ),
-    CaseCheck(
-        id="PSL2-PGL",
-        section="rank-one/subfield-pgl",
-        anchor="4(2q-1) differs from (3 sqrt(q) - 3)^2 at q = 49 and 169, "
-               "the only candidate squares",
-        parameters="odd prime squares q < 324 with p = 1 mod 3",
-        check=_psl2_pgl,
-    ),
-    CaseCheck(
-        id="PSL2-SUBFIELD",
-        section="rank-one/subfield-psl",
-        anchor="the subfield count window contains no multiple of "
-               "1+r+...+r^(a-1): consecutive multiples straddle it",
-        parameters="odd prime powers r, odd a >= 3, r^a <= 10^6",
-        check=_psl2_subfield,
-        default_bound=10**6,
-        bound_kind="q",
-    ),
-    CaseCheck(
-        id="PSL3-Q13",
-        section="linear/dimension-3-q13",
-        anchor="u^2-u+1 divides the dimension-3 involution count at q = 13 "
-               "only for u in {2, 4, 14, 23}, and no u^2+u+1 among them is "
-               "divisible by both 7 and 61",
-        parameters="both recorded readings of the count: 13^2*3*61 and 3^2*13*61",
-        check=_psl3_q13,
-    ),
-    CaseCheck(
-        id="PSL3-TYPE67",
-        section="linear/dimension-3-small-q",
-        anchor="24(q^2+q+1) > q^3-q holds exactly for prime powers q <= 25, "
-               "leaving odd characteristics 7, 13, 19",
-        parameters="prime powers q <= 64",
-        check=_psl3_type67,
-        default_bound=64,
-        bound_kind="q",
-    ),
-    CaseCheck(
-        id="U-PARAB-MOD",
-        section="unitary/parabolic-mod-12",
-        anchor="an admissible first-parabolic index over q = 2^a with a odd "
-               "forces n = 2 mod 12; exponents divisible by 3 admit nothing",
-        parameters="3 <= n <= 50, a in {1, 3, 5, 7, 9}, cyclotomic pieces "
-                   "factored up to 10^18",
-        check=_u_parab_mod,
-        default_bound=50,
-        bound_kind="n",
-    ),
-    CaseCheck(
-        id="U-N5-B1",
-        section="unitary/dimension-5",
-        anchor="only one multiple of q^4 fits below isqrt(2v), and q^4 is "
-               "neither a fixed-point count nor an allowed prime power",
-        parameters="q in {7, 13}",
-        check=_u_n5_b1,
-    ),
-    CaseCheck(
-        id="U-N6-B2",
-        section="unitary/dimension-6",
-        anchor="only one multiple of q^8 fits below isqrt(2v), and q^8 is "
-               "neither a fixed-point count nor an allowed prime power",
-        parameters="q in {7, 13}",
-        check=_u_n6_b2,
-    ),
-    CaseCheck(
-        id="SP-PARAB",
-        section="symplectic/parabolic",
-        anchor="q^2+1 is 2 mod 3 for every prime power q not divisible by 3",
-        parameters="prime powers q <= 10^4",
-        check=_sp_parab,
-        default_bound=10_000,
-        bound_kind="q",
-    ),
-    CaseCheck(
-        id="SP-N6",
-        section="symplectic/dimension-6",
-        anchor="the dimension-6 ratio branches q^4, q^4+q^2+1, and "
-               "proper-divisor each end in a recorded contradiction",
-        parameters="q in {7, 13, 19, 25, 31}",
-        check=_sp_n6,
-    ),
-    CaseCheck(
-        id="OO-CONTRA",
-        section="orthogonal/odd-dimension",
-        anchor="the ratio stays at most q(q+1), so v falls below both "
-               "half-spin indices q^m(q^m+-1)/2",
-        parameters="n in {7, 9, 11, 13, 15}, q in {7, 13}, all sign pairs",
-        check=_oo_contra,
-    ),
-    CaseCheck(
-        id="E6-SANDWICH",
-        section="exceptional/e6-sandwich",
-        anchor="a scaled degree-8 polynomial sandwiches u^2-u+1 against "
-               "(q^8+q^4+1)(q^6+q^3+1)(q^2+q+1) for q >= 47; below 47 only "
-               "q = 2 is representable, and its v does not divide either "
-               "E6(2) order",
-        parameters="prime powers 2 <= q <= 1024, scale 32768, both readings "
-                   "of the ambiguous quartic coefficient",
-        check=_e6_sandwich,
-        default_bound=1024,
-        bound_kind="q",
-    ),
-    CaseCheck(
-        id="E6-MINUS",
-        section="exceptional/e6-minus",
-        anchor="the minus-form trichotomy is empty: small spin ratio, "
-               "multipliers {1, 7, 13}, and a window strictly between the "
-               "7th and 13th multiples of the subgroup index",
-        parameters="q in {7, 13}",
-        check=_e6_minus,
-    ),
-    CaseCheck(
-        id="3D4-TRICHOT",
-        section="exceptional/triality-d4",
-        anchor="ratio below 7q^8 splits into q^8, 3q^8, and p-free "
-               "branches, each contradicted",
-        parameters="q in {7, 13}",
-        check=_threed4_trichot,
-    ),
-    CaseCheck(
-        id="G2-CASES",
-        section="exceptional/g2",
-        anchor="the multiplier-7 branch, the coprime-to-p branch, and the "
-               "small-v branch each fail on exact arithmetic",
-        parameters="q in {7, 13, 19}",
-        check=_g2_cases,
-    ),
-    CaseCheck(
-        id="F4-CENT",
-        section="exceptional/f4",
-        anchor="every involution centralizer index in the 9-dimensional "
-               "orthogonal group is at least q^4(q^4-1)/2, which closes "
-               "the window below the 7th multiple",
-        parameters="q in {7, 13}",
-        check=_f4_cent,
-    ),
-    CaseCheck(
-        id="E-CHAR2-PARAB",
-        section="exceptional/char-2-parabolics",
-        anchor="each even-characteristic parabolic product is divisible by "
-               "9 or carries a factor that is 2 mod 3",
-        parameters="q = 2^a, 1 <= a <= 10",
-        check=_e_char2_parab,
-        default_bound=10,
-        bound_kind="a",
-    ),
-    CaseCheck(
-        id="LJUNGGREN-SCAN",
-        section="number-theory/prime-power-values",
-        anchor="u^2+u+1 is a proper prime power only at u = 18, value 343",
-        parameters="1 <= u <= 10^6, cross-checked against the classifier "
-                   "for u <= 2000",
-        check=_ljunggren_scan,
-        default_bound=10**6,
-        bound_kind="u",
-    ),
-    CaseCheck(
-        id="SPORADIC",
-        section="sporadic/odd-index-table",
-        anchor="every recorded sporadic odd subgroup index is divisible by "
-               "9 or by a prime that is 2 mod 3",
-        parameters="12 embedded rows",
-        check=_sporadic,
-    ),
-)
+REGISTRY: tuple[CaseCheck, ...] = tuple(_REGISTERED)

@@ -132,18 +132,10 @@ def report_record(result: CaseResult,
         "anchor": case.anchor,
         "verdict": result.verdict.value,
         "witness_count": len(result.witnesses),
-        "witnesses": [_plain(w) for w in result.witnesses[:10]],
+        "witnesses": list(result.witnesses[:10]),
         "elapsed_ms": round(result.elapsed_ms, 3),
     }
     if result.bound is not None:
         record["bound"] = result.bound
     return record
-
-
-def _plain(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_plain(x) for x in value]
-    if isinstance(value, Enum):
-        return value.value
-    return value
 

@@ -1,6 +1,7 @@
 """Ledger mechanics: replay, truncation semantics, determinism,
 and reporting."""
 
+import hashlib
 import json
 import sys
 from math import isqrt
@@ -274,3 +275,27 @@ def test_u_parab_mod_factors_only_exponents(monkeypatch):
     ledger.replay("U-PARAB-MOD")
     pairs = 5 * (50 - 2)  # a in (1, 3, 5, 7, 9), n in 3..50
     assert 0 < len(calls) <= 3 * pairs
+
+
+@pytest.mark.parametrize("name, stub, digest", [
+    ("admissible_index", lambda n: True,
+     "eb23f40389b0c021b295dca774bcf39ea8ca05b6c0d30c70eb38a0342326e527"),
+    ("quadratic_ratio_root", lambda t: None,
+     "18fcfb897dc2a3f2cd7534edae660a9a7fbe126ab5df1abcd9c8adcbed3e5013"),
+    ("fixed_count_bound", lambda n: 10**100,
+     "ce8a9e28735f991881f004dd81f5e026d11affda899e739689c2ff968fca0023"),
+], ids=["admissible_index", "quadratic_ratio_root", "fixed_count_bound"])
+def test_failure_paths_golden_digest(monkeypatch, name, stub, digest):
+    # byte-for-byte pin of every case's failure bookkeeping: with one
+    # primitive stubbed to a wrong answer, the verdicts and witnesses of
+    # all 28 cases (an exception recorded by its type name)
+    monkeypatch.setattr(planesieve.cases, name, stub)
+    lines = []
+    for case in REGISTRY:
+        try:
+            res = ledger.replay(case.id)
+        except Exception as exc:
+            lines.append(f"{case.id} {type(exc).__name__}\n")
+        else:
+            lines.append(f"{case.id} {res.verdict.value} {res.witnesses!r}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
