@@ -284,7 +284,14 @@ def test_u_parab_mod_factors_only_exponents(monkeypatch):
      "18fcfb897dc2a3f2cd7534edae660a9a7fbe126ab5df1abcd9c8adcbed3e5013"),
     ("fixed_count_bound", lambda n: 10**100,
      "ce8a9e28735f991881f004dd81f5e026d11affda899e739689c2ff968fca0023"),
-], ids=["admissible_index", "quadratic_ratio_root", "fixed_count_bound"])
+    ("is_prime_power", lambda n: None,
+     "746f85bdd4b81b8d5a51c12f7aa409b508cffe48082233ba98ae649662ef9b0f"),
+    ("geom_sum", lambda q, k, step=1: 1,
+     "a82214bef205b33162e08284ad447f69c479b43eb546d4b8faa17362a151bb73"),
+    ("involution_class_size", lambda entry: 1,
+     "779febf7e361bc625dade036284aec6753b3c66791e42c378accff402af4300a"),
+], ids=["admissible_index", "quadratic_ratio_root", "fixed_count_bound",
+        "is_prime_power", "geom_sum", "involution_class_size"])
 def test_failure_paths_golden_digest(monkeypatch, name, stub, digest):
     # byte-for-byte pin of every case's failure bookkeeping: with one
     # primitive stubbed to a wrong answer, the verdicts and witnesses of
