@@ -4,9 +4,10 @@ Each function here replays one bounded counting argument: an inequality
 scan, a divisibility table, a branch-by-branch contradiction, or a
 brute-force count.  The _case decorator above each check declares its
 id, claim and bound, and REGISTRY lists the checks in definition order.
-A check receives its effective scan bound (None for fixed-domain cases),
-records failure and success witnesses on a _Record, and returns its
-(ok, witnesses); the ledger wraps the pair into a verdict.
+A check receives the ledger's Record and its effective scan bound (None
+for fixed-domain cases), and records failure and success witnesses on
+the Record; branch-by-branch cases walk Record.branches.  The ledger
+reads the verdict off the Record.
 
 Conventions: witnesses are flat tuples of ints and short tags, decisive
 counterexamples are always recorded, and anything labeled a dual
@@ -16,7 +17,7 @@ elimination.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, gcd, isqrt, prod
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .catalog import classes_for, involution_class_size
 from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
                         is_prime_power, nth_root, phi3_factorizations, small_primes)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
-from .ledger import CaseCheck, CheckFn
+from .ledger import CaseCheck, CheckFn, Record
 from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
                     involution_counts, ljunggren_classify, quadratic_ratio_root)
 
@@ -85,39 +86,6 @@ def _class_size(spec, label: str) -> int:
     raise LookupError(f"no catalog class {label!r} covers {spec}")
 
 
-class _Record:
-    """A check's outcome: ok until the first failure witness.
-
-    fail() records a failure witness and note() a success witness.  For
-    branch-by-branch cases, branch(tag) returns the branch's expect(name,
-    condition), and confirm(tag) records the branch as confirmed unless
-    one of its expectations failed.
-    """
-
-    def __init__(self) -> None:
-        self.ok = True
-        self.witnesses: list = []
-        self._failed: set = set()
-
-    def fail(self, *witness) -> None:
-        self.ok = False
-        self.witnesses.append(witness)
-
-    def note(self, *witness) -> None:
-        self.witnesses.append(witness)
-
-    def branch(self, tag) -> Callable[[str, bool], None]:
-        def expect(name: str, condition: bool) -> None:
-            if not condition:
-                self._failed.add(tag)
-                self.fail("failed", tag, name)
-        return expect
-
-    def confirm(self, tag) -> None:
-        if tag not in self._failed:
-            self.note(tag, "confirmed")
-
-
 _REGISTERED: list[CaseCheck] = []
 
 
@@ -137,8 +105,7 @@ def _case(**metadata) -> Callable[[CheckFn], CheckFn]:
               "and by an increasing ratio beyond",
        parameters="direct scan 2 <= u <= 100; ratio monotone on 100 < u <= 1000",
        default_bound=1000, bound_kind="u")
-def _frame_5sqrt(u_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _frame_5sqrt(rec: Record, u_max: int) -> None:
     for u in range(2, min(100, u_max) + 1):
         if not u**4 + u**2 + 1 < 5**u:
             rec.fail("direct-failure", u)
@@ -148,7 +115,6 @@ def _frame_5sqrt(u_max: int) -> tuple[bool, list]:
     if rec.ok:
         rec.note("direct", 2, min(100, u_max))
         rec.note("ratio-monotone", 100, u_max)
-    return rec.ok, rec.witnesses
 
 
 # --- alternating groups ----------------------------------------------------
@@ -156,8 +122,7 @@ def _frame_5sqrt(u_max: int) -> tuple[bool, list]:
 @_case(id="ALT-BOUND", section="alternating/degree-bound",
        anchor="2^floor(n/2) < n^4 holds exactly for degrees n <= 43",
        parameters="8 <= n <= 200", default_bound=200, bound_kind="n")
-def _alt_bound(n_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _alt_bound(rec: Record, n_max: int) -> None:
     for n in range(8, n_max + 1):
         holds = 2 ** (n // 2) < n**4
         if holds != (n <= 43):
@@ -167,20 +132,17 @@ def _alt_bound(n_max: int) -> tuple[bool, list]:
             rec.note("last-pass", 43, 2**21, 43**4)
         if n_max >= 44:
             rec.note("first-fail", 44, 2**22, 44**4)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="ALT-RATIO", section="alternating/ratio-bound",
        anchor="n(n-1) < 3(n-4)(n-5) for every degree n >= 11",
        parameters="11 <= n <= 200", default_bound=200, bound_kind="n")
-def _alt_ratio(n_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _alt_ratio(rec: Record, n_max: int) -> None:
     for n in range(11, n_max + 1):
         if not n * (n - 1) < 3 * (n - 4) * (n - 5):
             rec.fail("ratio-failure", n)
     if rec.ok:
         rec.note("tightest", 11, 11 * 10, 3 * 7 * 6)
-    return rec.ok, rec.witnesses
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -216,7 +178,7 @@ def _even_doubles(perms) -> int:
               "candidates hold 25, 45, and 15 of them, and each count "
               "breaks the chain at a recorded step",
        parameters="brute force over all 5040 permutations of 7 points")
-def _alt_a7(_bound: int | None) -> tuple[bool, list]:
+def _alt_a7(rec: Record, _bound: int | None) -> None:
     n_g = _even_doubles(permutations(range(7)))
     # S5 sits in A7 with each odd sigma also swapping 5 and 6
     s5_count = _even_doubles(sigma + ((5, 6) if _is_even(_cycle_lengths(sigma)) else (6, 5))
@@ -224,7 +186,6 @@ def _alt_a7(_bound: int | None) -> tuple[bool, list]:
     a6_count = _even_doubles(sigma + (6,) for sigma in permutations(range(6)))
     a5_count = _even_doubles(sigma + (5, 6) for sigma in permutations(range(5)))
 
-    rec = _Record()
     if n_g != 105 or n_g != comb(7, 2) * comb(5, 2) // 2:
         rec.fail("class-size-mismatch", n_g)
     if (s5_count, a6_count, a5_count) != (25, 45, 15):
@@ -246,7 +207,6 @@ def _alt_a7(_bound: int | None) -> tuple[bool, list]:
     else:
         rec.note("A5", a5_count, "ratio", counts.ratio,
                  "v", counts.v, "index", index_a5, "v-indivisible")
-    return rec.ok, rec.witnesses
 
 
 # --- linear groups ---------------------------------------------------------
@@ -254,8 +214,7 @@ def _alt_a7(_bound: int | None) -> tuple[bool, list]:
 @_case(id="PSL-C2C5", section="linear/stabilizer-p-part",
        anchor="2(n^2-5n+8) <= n(n-1) holds exactly for dimensions n < 7",
        parameters="4 <= n <= 50", default_bound=50, bound_kind="n")
-def _psl_c2c5(n_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _psl_c2c5(rec: Record, n_max: int) -> None:
     for n in range(4, n_max + 1):
         holds = 2 * (n * n - 5 * n + 8) <= n * (n - 1)
         if holds != (n < 7):
@@ -263,7 +222,6 @@ def _psl_c2c5(n_max: int) -> tuple[bool, list]:
     if rec.ok and n_max >= 7:
         rec.note("last-pass", 6, 28, 30)
         rec.note("first-fail", 7, 44, 42)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL-DIVIS", section="linear/parabolic-binomials",
@@ -271,9 +229,7 @@ def _psl_c2c5(n_max: int) -> tuple[bool, list]:
               "m <= 2 and n = 39 for m = 3, never for m = 4 through 70, "
               "and for even n below 70 only at (14,2), (38,2), (62,2)",
        parameters="n <= 100, m <= 8", default_bound=100, bound_kind="n")
-def _psl_divis(n_max: int) -> tuple[bool, list]:
-    rec = _Record()
-
+def _psl_divis(rec: Record, n_max: int) -> None:
     def adm(n: int, m: int) -> bool:
         return admissible_index(comb(n, m))
 
@@ -313,17 +269,14 @@ def _psl_divis(n_max: int) -> tuple[bool, list]:
             rec.fail("m2-parity-failure", n)
     if rec.ok:
         rec.note("m2-parity", "even exactly when n = 0,1 mod 4")
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL-P2-EXC", section="linear/char-2-exceptions",
        anchor="q^4+1 is 2 mod 3 and divides the (8,4) index; the (9,4) "
               "and (7,3) indices both exceed the plane-size ceiling",
        parameters="q in {2, 4, 8, 16}")
-def _psl_p2_exc(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (2, 4, 8, 16):
-        expect = rec.branch(q)
+def _psl_p2_exc(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((2, 4, 8, 16)):
         expect("q4-mod-3", (q**4 + 1) % 3 == 2)
         expect("q4-divides-index", gaussian_binomial(8, 4, q) % (q**4 + 1) == 0)
         expect("nine-four-index-exceeds-v", gaussian_binomial(9, 4, q) > geom_sum(q, 8) ** 2 // 2)
@@ -331,43 +284,36 @@ def _psl_p2_exc(_bound: int | None) -> tuple[bool, list]:
         expect("seven-three-identity",
                idx73 == (q * q - q + 1) * geom_sum(q, 4) * geom_sum(q, 6))
         expect("seven-three-index-exceeds-v", idx73 > geom_sum(q, 6) ** 2 // 2)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL-73", section="linear/dimension-7-exception",
        anchor="3(1+q+...+q^6) is not of the form u^2-u+1 at q = 3 or 5",
        parameters="q in {3, 5}")
-def _psl_73(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
+def _psl_73(rec: Record, _bound: int | None) -> None:
     for q in (3, 5):
         t = 3 * geom_sum(q, 6)
         if quadratic_ratio_root(t) is not None:
             rec.fail("unexpected-root", q, t)
         else:
             rec.note(q, t, "discriminant", 4 * t - 3, "not-square")
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL2-PARAB", section="rank-one/parabolic",
        anchor="u^2-u is never a 2-power 2^a with a >= 2",
        parameters="2 <= a <= 60", default_bound=60, bound_kind="a")
-def _psl2_parab(a_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _psl2_parab(rec: Record, a_max: int) -> None:
     for a in range(2, a_max + 1):
         if quadratic_ratio_root(2**a + 1) is not None:
             rec.fail("unexpected-root", a)
     if rec.ok:
         rec.note("scan", 2, a_max, "no u with u(u-1) a 2-power")
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL2-Q13", section="rank-one/dihedral-survivor",
        anchor="q = 13 is the unique dihedral survivor, with counts "
               "(91, 7, 13, 21, 273), and 81 > 63 closes it",
        parameters="prime powers q = 1 mod 4 with p = 1 mod 3, q <= 10^4")
-def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
+def _psl2_q13(rec: Record, _bound: int | None) -> None:
     survivors = []
     for q, p, _ in _prime_powers(10_000):
         if q % 4 != 1 or p % 3 != 1:
@@ -395,15 +341,13 @@ def _psl2_q13(_bound: int | None) -> tuple[bool, list]:
         rec.fail("fixed-point-comparison-failure")
     else:
         rec.note("fixed-points", 81, ">", 63)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL2-PGL", section="rank-one/subfield-pgl",
        anchor="4(2q-1) differs from (3 sqrt(q) - 3)^2 at q = 49 and 169, "
               "the only candidate squares",
        parameters="odd prime squares q < 324 with p = 1 mod 3")
-def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
+def _psl2_pgl(rec: Record, _bound: int | None) -> None:
     candidates = [r * r for r in small_primes(17) if r % 6 == 1]
     if candidates != [49, 169]:
         rec.fail("candidate-mismatch", candidates)
@@ -415,7 +359,6 @@ def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
             rec.fail("unexpected-equality", q)
         else:
             rec.note(q, lhs, "!=", rhs)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL2-SUBFIELD", section="rank-one/subfield-psl",
@@ -423,8 +366,7 @@ def _psl2_pgl(_bound: int | None) -> tuple[bool, list]:
               "1+r+...+r^(a-1): consecutive multiples straddle it",
        parameters="odd prime powers r, odd a >= 3, r^a <= 10^6",
        default_bound=10**6, bound_kind="q")
-def _psl2_subfield(q_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _psl2_subfield(rec: Record, q_max: int) -> None:
     checked_high = checked_low = 0
     for r, _, _ in _prime_powers(isqrt(q_max) + 1):
         if r % 2 == 0 or r < 3:
@@ -450,7 +392,6 @@ def _psl2_subfield(q_max: int) -> tuple[bool, list]:
     if rec.ok:
         rec.note("pairs", "r=3mod4", checked_high, "r=1mod4", checked_low)
         rec.note("sample", 5, 3, 558, "<", 565, "and", 589, ">", 575)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL3-Q13", section="linear/dimension-3-q13",
@@ -458,8 +399,7 @@ def _psl2_subfield(q_max: int) -> tuple[bool, list]:
               "only for u in {2, 4, 14, 23}, and no u^2+u+1 among them is "
               "divisible by both 7 and 61",
        parameters="both recorded readings of the count: 13^2*3*61 and 3^2*13*61")
-def _psl3_q13(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
+def _psl3_q13(rec: Record, _bound: int | None) -> None:
     q = 13
     readings = {
         "formula": q * q * (q * q + q + 1),
@@ -480,15 +420,13 @@ def _psl3_q13(_bound: int | None) -> tuple[bool, list]:
             rec.fail("unexpected-joint-divisibility", u, plus)
     if rec.ok:
         rec.note("plus-values", 7, 21, 211, 553, "none divisible by 7 and 61")
-    return rec.ok, rec.witnesses
 
 
 @_case(id="PSL3-TYPE67", section="linear/dimension-3-small-q",
        anchor="24(q^2+q+1) > q^3-q holds exactly for prime powers q <= 25, "
               "leaving odd characteristics 7, 13, 19",
        parameters="prime powers q <= 64", default_bound=64, bound_kind="q")
-def _psl3_type67(q_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _psl3_type67(rec: Record, q_max: int) -> None:
     passing = []
     for q, p, _ in _prime_powers(q_max):
         if 24 * (q * q + q + 1) > q**3 - q:
@@ -506,7 +444,6 @@ def _psl3_type67(q_max: int) -> tuple[bool, list]:
             rec.fail("surviving-characteristics-mismatch", odd_one_mod3)
         else:
             rec.note("odd-survivors", 7, 13, 19)
-    return rec.ok, rec.witnesses
 
 
 # --- unitary groups --------------------------------------------------------
@@ -524,8 +461,7 @@ def _unitary_first_index(a: int, n: int) -> int:
               "forces n = 2 mod 12; exponents divisible by 3 admit nothing",
        parameters="3 <= n <= 50, a in {1, 3, 5, 7, 9}, cyclotomic pieces "
                   "factored up to 10^18", default_bound=50, bound_kind="n")
-def _u_parab_mod(n_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _u_parab_mod(rec: Record, n_max: int) -> None:
     strip = small_primes(10_000)
     passes, undecided = [], []
     fail_count = 0
@@ -588,43 +524,34 @@ def _u_parab_mod(n_max: int) -> tuple[bool, list]:
     rec.note("undecided", sorted(undecided))
     rec.note("failures", fail_count)
     rec.note("empty-columns", 3, 9)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="U-N5-B1", section="unitary/dimension-5",
        anchor="only one multiple of q^4 fits below isqrt(2v), and q^4 is "
               "neither a fixed-point count nor an allowed prime power",
        parameters="q in {7, 13}")
-def _u_n5_b1(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13):
-        expect = rec.branch(q)
+def _u_n5_b1(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13)):
         cof = (q**5 + 1) // (q + 1)
         expect("cofactor-identity", cof == q**4 - q**3 + q * q - q + 1)
         v = q**4 * cof
         expect("single-multiple", isqrt(2 * v) // q**4 == 1)
         expect("not-quadratic", quadratic_ratio_root(q**4) is None)
         expect("proper-power-excluded", is_prime_power(q**4) == (q, 4) and q**4 != 343)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="U-N6-B2", section="unitary/dimension-6",
        anchor="only one multiple of q^8 fits below isqrt(2v), and q^8 is "
               "neither a fixed-point count nor an allowed prime power",
        parameters="q in {7, 13}")
-def _u_n6_b2(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13):
-        expect = rec.branch(q)
+def _u_n6_b2(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13)):
         cof = (q**4 + q * q + 1) * (q**4 - q**3 + q * q - q + 1)
         expect("cofactor-window", q**8 <= 2 * cof < 4 * q**8)
         v = q**8 * cof
         expect("single-multiple", isqrt(2 * v) // q**8 == 1)
         expect("not-quadratic", quadratic_ratio_root(q**8) is None)
         expect("proper-power-excluded", is_prime_power(q**8) == (q, 8) and q**8 != 343)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 # --- symplectic groups -----------------------------------------------------
@@ -632,8 +559,7 @@ def _u_n6_b2(_bound: int | None) -> tuple[bool, list]:
 @_case(id="SP-PARAB", section="symplectic/parabolic",
        anchor="q^2+1 is 2 mod 3 for every prime power q not divisible by 3",
        parameters="prime powers q <= 10^4", default_bound=10_000, bound_kind="q")
-def _sp_parab(q_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _sp_parab(rec: Record, q_max: int) -> None:
     count = 0
     for q, p, _ in _prime_powers(q_max):
         if p == 3:
@@ -643,17 +569,14 @@ def _sp_parab(q_max: int) -> tuple[bool, list]:
             rec.fail("residue-failure", q)
     if rec.ok:
         rec.note("checked", count, "sample", 2, 5)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="SP-N6", section="symplectic/dimension-6",
        anchor="the dimension-6 ratio branches q^4, q^4+q^2+1, and "
               "proper-divisor each end in a recorded contradiction",
        parameters="q in {7, 13, 19, 25, 31}")
-def _sp_n6(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13, 19, 25, 31):
-        expect = rec.branch(q)
+def _sp_n6(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13, 19, 25, 31)):
         q2, q4 = q * q, q**4
         n2 = q4 + q2 + 1
         n_g = q4 * n2
@@ -672,8 +595,6 @@ def _sp_n6(_bound: int | None) -> tuple[bool, list]:
         expect("divisor-third", n2 % 3 == 0)
         third = n2 // 3
         expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 # --- orthogonal groups -----------------------------------------------------
@@ -682,26 +603,18 @@ def _sp_n6(_bound: int | None) -> tuple[bool, list]:
        anchor="the ratio stays at most q(q+1), so v falls below both "
               "half-spin indices q^m(q^m+-1)/2",
        parameters="n in {7, 9, 11, 13, 15}, q in {7, 13}, all sign pairs")
-def _oo_contra(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for n in (7, 9, 11, 13, 15):
-        m = (n - 1) // 2
-        for q in (7, 13):
-            expect = rec.branch((n, q))
-            qm = q**m
-            spec = group_spec("POmega", n=n, q=q, eps="o")
-            sizes = {e.label: involution_class_size(e) for e in classes_for(spec)}
-            expect("catalog-plus", sizes["omega-odd-plus"] == qm * (qm + 1) // 2)
-            expect("catalog-minus", sizes["omega-odd-minus"] == qm * (qm - 1) // 2)
-            v_cap = 2 * q * q * (q + 1) ** 2
-            expect("v-below-both-indices", v_cap < qm * (qm - 1) // 2)
-            for eta in (1, -1):
-                for zeta in (1, -1):
-                    num = q * (q ** (n - 1) - 1)
-                    den = (q ** ((n - 3) // 2) + eta * zeta) * (q ** ((n - 1) // 2) - eta)
-                    expect(f"ratio-cap-{eta}-{zeta}", 0 < den and num <= q * (q + 1) * den)
-            rec.confirm((n, q))
-    return rec.ok, rec.witnesses
+def _oo_contra(rec: Record, _bound: int | None) -> None:
+    for (n, q), expect in rec.branches(product((7, 9, 11, 13, 15), (7, 13))):
+        qm = q ** ((n - 1) // 2)
+        spec = group_spec("POmega", n=n, q=q, eps="o")
+        expect("catalog-plus", _class_size(spec, "omega-odd-plus") == qm * (qm + 1) // 2)
+        expect("catalog-minus", _class_size(spec, "omega-odd-minus") == qm * (qm - 1) // 2)
+        v_cap = 2 * q * q * (q + 1) ** 2
+        expect("v-below-both-indices", v_cap < qm * (qm - 1) // 2)
+        for eta, zeta in product((1, -1), (1, -1)):
+            num = q * (q ** (n - 1) - 1)
+            den = (q ** ((n - 3) // 2) + eta * zeta) * (q ** ((n - 1) // 2) - eta)
+            expect(f"ratio-cap-{eta}-{zeta}", 0 < den and num <= q * (q + 1) * den)
 
 
 # --- exceptional groups ----------------------------------------------------
@@ -726,9 +639,8 @@ def _e6_scaled(coeffs: tuple[int, ...], q: int) -> int:
               "E6(2) order",
        parameters="prime powers 2 <= q <= 1024, scale 32768, both readings "
                   "of the ambiguous quartic coefficient", default_bound=1024, bound_kind="q")
-def _e6_sandwich(q_max: int) -> tuple[bool, list]:
+def _e6_sandwich(rec: Record, q_max: int) -> None:
     s = _E6_SCALE
-    rec = _Record()
     minus_reading_failures = 0
     upper_count = lower_count = 0
     small_nonrepresentable = []
@@ -770,7 +682,6 @@ def _e6_sandwich(q_max: int) -> tuple[bool, list]:
     rec.note("upper-held", upper_count, "lower-held", lower_count)
     rec.note("small-nonrepresentable", len(small_nonrepresentable))
     rec.note("minus-reading-upper-failures", minus_reading_failures, "of", upper_count)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="E6-MINUS", section="exceptional/e6-minus",
@@ -778,10 +689,8 @@ def _e6_sandwich(q_max: int) -> tuple[bool, list]:
               "multipliers {1, 7, 13}, and a window strictly between the "
               "7th and 13th multiples of the subgroup index",
        parameters="q in {7, 13}")
-def _e6_minus(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13):
-        expect = rec.branch(q)
+def _e6_minus(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13)):
         q4, q8, q12, q16 = q**4, q**8, q**12, q**16
         lm = q16 * (q * q - q + 1) * (q**6 - q**3 + 1) * (q8 + q4 + 1)
         spec = group_spec("E6", q=q, eps="-")
@@ -809,18 +718,14 @@ def _e6_minus(_bound: int | None) -> tuple[bool, list]:
         expect("window-above-7", 7 * lm < 9 * q**32)
         expect("window-below-13", window_top < 13 * lm)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="3D4-TRICHOT", section="exceptional/triality-d4",
        anchor="ratio below 7q^8 splits into q^8, 3q^8, and p-free "
               "branches, each contradicted",
        parameters="q in {7, 13}")
-def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13):
-        expect = rec.branch(q)
+def _threed4_trichot(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13)):
         q4, q8 = q**4, q**8
         n4 = q8 + q4 + 1
         n_g = q8 * n4
@@ -838,18 +743,14 @@ def _threed4_trichot(_bound: int | None) -> tuple[bool, list]:
         expect("seven-below-window", 7 * third < 3 * q8)
         expect("thirteen-above-window", 13 * third > window_top)
         expect("no-mid-multiplier", not any(admissible_index(a) for a in (9, 11)))
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="G2-CASES", section="exceptional/g2",
        anchor="the multiplier-7 branch, the coprime-to-p branch, and the "
               "small-v branch each fail on exact arithmetic",
        parameters="q in {7, 13, 19}")
-def _g2_cases(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13, 19):
-        expect = rec.branch(q)
+def _g2_cases(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13, 19)):
         q2, q4 = q * q, q**4
         n2 = q4 + q2 + 1
         n_g = q4 * n2
@@ -870,8 +771,6 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
         expect("middle-p-part-gap", (n2 * d_mid) % q == 3 and gcd(n2, q) == 1)
         third = n2 // 3
         expect("small-ratio-v-gap", third * fixed_count_bound(third) < n_g)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="F4-CENT", section="exceptional/f4",
@@ -879,20 +778,17 @@ def _g2_cases(_bound: int | None) -> tuple[bool, list]:
               "orthogonal group is at least q^4(q^4-1)/2, which closes "
               "the window below the 7th multiple",
        parameters="q in {7, 13}")
-def _f4_cent(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
-    for q in (7, 13):
-        expect = rec.branch(q)
+def _f4_cent(rec: Record, _bound: int | None) -> None:
+    for q, expect in rec.branches((7, 13)):
         q4, q8 = q**4, q**8
         n_g = q8 * (q8 + q4 + 1)
         expect("catalog-match", _class_size(group_spec("F4", q=q), "f4") == n_g)
-        spin = 2 * order(group_spec("POmega", n=9, q=q, eps="o"))
+        spec9 = group_spec("POmega", n=9, q=q, eps="o")
+        spin = 2 * order(spec9)
         expect("centralizer-index-identity", order(group_spec("F4", q=q)) == n_g * spin)
         floor = q4 * (q4 - 1) // 2
-        spec9 = group_spec("POmega", n=9, q=q, eps="o")
-        sizes = {e.label: involution_class_size(e) for e in classes_for(spec9)}
-        expect("table-minus", sizes["omega-odd-minus"] == floor)
-        expect("table-plus", sizes["omega-odd-plus"] == q4 * (q4 + 1) // 2 >= floor)
+        expect("table-minus", _class_size(spec9, "omega-odd-minus") == floor)
+        expect("table-plus", _class_size(spec9, "omega-odd-plus") == q4 * (q4 + 1) // 2 >= floor)
         expect("unit-multiplier-cofactor", n_g // q8 < 8 * q8 and q8 != 343)
         expect("three-part", n_g % 3 == 0 and n_g % 9 != 0)
         expect("five-inadmissible", not admissible_index(5))
@@ -900,20 +796,16 @@ def _f4_cent(_bound: int | None) -> tuple[bool, list]:
         expect("ratio-cap", n_g <= floor * ratio_cap)
         v_top = ratio_cap * fixed_count_bound(ratio_cap)
         expect("v-below-7", v_top < 7 * n_g)
-        rec.confirm(q)
-    return rec.ok, rec.witnesses
 
 
 @_case(id="E-CHAR2-PARAB", section="exceptional/char-2-parabolics",
        anchor="each even-characteristic parabolic product is divisible by "
               "9 or carries a factor that is 2 mod 3",
        parameters="q = 2^a, 1 <= a <= 10", default_bound=10, bound_kind="a")
-def _e_char2_parab(a_max: int) -> tuple[bool, list]:
-    rec = _Record()
+def _e_char2_parab(rec: Record, a_max: int) -> None:
     nine_count = bad_piece_count = 0
-    for a in range(1, a_max + 1):
+    for a, expect in rec.branches(range(1, a_max + 1)):
         q = 2**a
-        expect = rec.branch(a)
         expect("q2-residue", (q * q + 1) % 3 == 2)
         expect("q4-residue", (q**4 + 1) % 3 == 2)
         products = [
@@ -934,9 +826,7 @@ def _e_char2_parab(a_max: int) -> tuple[bool, list]:
                 expect(f"{name}-unresolved", False)
             if a <= 3:
                 expect(f"{name}-inadmissible", not admissible_index(value))
-        rec.confirm(a)
     rec.note("nine-divisible", nine_count, "bad-piece", bad_piece_count)
-    return rec.ok, rec.witnesses
 
 
 # --- number theory ---------------------------------------------------------
@@ -945,7 +835,7 @@ def _e_char2_parab(a_max: int) -> tuple[bool, list]:
        anchor="u^2+u+1 is a proper prime power only at u = 18, value 343",
        parameters="1 <= u <= 10^6, cross-checked against the classifier "
                   "for u <= 2000", default_bound=10**6, bound_kind="u")
-def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
+def _ljunggren_scan(rec: Record, u_max: int) -> None:
     v_max = u_max * u_max + u_max + 1
     # u**2 < u**2 + u + 1 < (u + 1)**2, so the value is never a square: only
     # p**k with odd k >= 3 can hit, and then p**3 <= v_max.  This is the
@@ -960,7 +850,6 @@ def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
             if w is not None:
                 hits[w - 1] = value
             value *= p * p
-    rec = _Record()
     seven_cubed_at = None
     for u, value in sorted(hits.items()):
         if value == 343:
@@ -981,7 +870,6 @@ def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
     if rec.ok:
         rec.note("unique-proper-power", 18, 343)
         rec.note("scanned", 1, u_max, "cross-checked", cross)
-    return rec.ok, rec.witnesses
 
 
 # --- sporadic groups -------------------------------------------------------
@@ -990,8 +878,7 @@ def _ljunggren_scan(u_max: int) -> tuple[bool, list]:
        anchor="every recorded sporadic odd subgroup index is divisible by "
               "9 or by a prime that is 2 mod 3",
        parameters="12 embedded rows")
-def _sporadic(_bound: int | None) -> tuple[bool, list]:
-    rec = _Record()
+def _sporadic(rec: Record, _bound: int | None) -> None:
     for name, subgroup, index in SPORADIC_ODD_INDEX:
         problems = []
         if index % 2 == 0:
@@ -1008,7 +895,6 @@ def _sporadic(_bound: int | None) -> tuple[bool, list]:
         else:
             bad = min(p for p, _ in factorize(index).factors if p % 3 == 2)
             rec.note(name, subgroup, index, "bad-prime", bad)
-    return rec.ok, rec.witnesses
 
 
 REGISTRY: tuple[CaseCheck, ...] = tuple(_REGISTERED)

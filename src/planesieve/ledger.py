@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class Verdict(Enum):
@@ -25,7 +25,46 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-CheckFn = Callable[[int | None], tuple[bool, list]]
+class Record:
+    """A check's outcome: ok until the first failure witness.
+
+    fail() records a failure witness and note() a success witness, so a
+    failed check always carries the witness of its failure.
+    """
+
+    def __init__(self) -> None:
+        self.ok = True
+        self.witnesses: list = []
+
+    def fail(self, *witness) -> None:
+        self.ok = False
+        self.witnesses.append(witness)
+
+    def note(self, *witness) -> None:
+        self.witnesses.append(witness)
+
+    def branches(self, tags: Iterable) -> Iterator[tuple[Any, Callable[[str, bool], None]]]:
+        """Yield (tag, expect) for each branch of a case analysis.
+
+        expect(name, condition) records ("failed", tag, name) when the
+        condition is false; a branch whose body ends with no failed
+        expectation is recorded as (tag, "confirmed").
+        """
+        for tag in tags:
+            failed = False
+
+            def expect(name: str, condition: bool) -> None:
+                nonlocal failed
+                if not condition:
+                    failed = True
+                    self.fail("failed", tag, name)
+
+            yield tag, expect
+            if not failed:
+                self.note(tag, "confirmed")
+
+
+CheckFn = Callable[[Record, int | None], None]
 
 
 @dataclass(frozen=True)
@@ -34,8 +73,9 @@ class CaseCheck:
 
     default_bound caps the registered scan, and None marks a fixed-domain
     case that accepts no bound; bound_kind names the scan variable a
-    caller may cap ("u", "n", "q" or "a").  The check receives the
-    effective bound (or None) and returns (ok, witnesses).
+    caller may cap ("u", "n", "q" or "a").  The check receives a fresh
+    Record and the effective bound (or None), and writes its outcome to
+    the Record.
     """
 
     id: str
@@ -79,16 +119,17 @@ def replay(case_id: str, bound: int | None = None,
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
     truncated = bound is not None and bound < case.default_bound
+    rec = Record()
     start = time.perf_counter()
-    ok, witnesses = case.check(bound if truncated else case.default_bound)
+    case.check(rec, bound if truncated else case.default_bound)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if not ok:
+    if not rec.ok:
         verdict = Verdict.VIOLATED
     elif truncated:
         verdict = Verdict.INCONCLUSIVE
     else:
         verdict = Verdict.ELIMINATED
-    return CaseResult(id=case.id, verdict=verdict, witnesses=tuple(witnesses),
+    return CaseResult(id=case.id, verdict=verdict, witnesses=tuple(rec.witnesses),
                       elapsed_ms=elapsed_ms, bound=bound if truncated else None)
 
 
@@ -122,10 +163,9 @@ def all_eliminated(results: Sequence[CaseResult]) -> bool:
     return all(r.verdict is Verdict.ELIMINATED for r in results)
 
 
-def report_record(result: CaseResult,
-                  registry: Sequence[CaseCheck] | None = None) -> dict[str, Any]:
+def report_record(result: CaseResult) -> dict[str, Any]:
     """One serializable report record per case result."""
-    case = get_case(result.id, registry)
+    case = get_case(result.id)
     record: dict[str, Any] = {
         "id": result.id,
         "section": case.section,

@@ -405,3 +405,25 @@ def test_large_group_orders_answer_in_bounded_time(argv):
     assert prod(p**e for p, e in powers) == int(value)
     sympy = pytest.importorskip("sympy")
     assert all(sympy.isprime(p) for p, _ in powers)
+
+
+def _readme_sample(command):
+    """The output README.md shows under `$ planesieve <command>`, up to the
+    next prompt or the end of its code block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(f"$ planesieve {command}") + 1
+    end = next(i for i in range(start, len(lines))
+               if lines[i].startswith("$ ") or lines[i] == "```")
+    return "".join(line + "\n" for line in lines[start:end])
+
+
+@pytest.mark.parametrize("command", ["verify PSL2-Q13", "order PSL 2 13",
+                                     "index PSL 5 2 --parabolic 1", "factor 105301"])
+def test_readme_samples_match_the_cli(capsys, command):
+    code, out, _ = _run(capsys, *command.split())
+    assert code == 0
+
+    def mask(text):
+        return re.sub(r"[0-9.]+ ms\)", "<ms> ms)", text)
+
+    assert mask(out) == mask(_readme_sample(command))

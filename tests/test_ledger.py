@@ -135,12 +135,15 @@ def test_unknown_case_id():
 
 
 def _toy_registry(calls):
-    def check_scan(bound):
+    def check_scan(rec, bound):
         calls.append(bound)
-        return bound >= 5, [("scanned", bound)]
+        if bound < 5:
+            rec.fail("too-short", bound)
+        rec.note("scanned", bound)
 
-    def check_bad(_bound):
-        return False, [("broken", 1), ("broken", 2)]
+    def check_bad(rec, _bound):
+        rec.fail("broken", 1)
+        rec.fail("broken", 2)
 
     return (
         CaseCheck(id="TOY-SCAN", section="toy/scan", anchor="toy scan claim",
@@ -172,13 +175,26 @@ def test_toy_registry_violation():
 
 
 def test_failed_scan_beats_truncation():
-    def check(bound):
-        return False, [("bad", bound)]
+    def check(rec, bound):
+        rec.fail("bad", bound)
 
     reg = (CaseCheck(id="TOY-X", section="s", anchor="a", parameters="p",
                      check=check, default_bound=10, bound_kind="u"),)
     res = ledger.replay("TOY-X", bound=3, registry=reg)
     assert res.verdict is Verdict.VIOLATED
+
+
+def test_record_branches_confirm_only_clean_branches():
+    def check(rec, _bound):
+        for tag, expect in rec.branches(("b1", "b2")):
+            expect("holds", True)
+            expect("second-fails", tag != "b2")
+
+    reg = (CaseCheck(id="TOY-BRANCH", section="s", anchor="a", parameters="p",
+                     check=check),)
+    res = ledger.replay("TOY-BRANCH", registry=reg)
+    assert res.verdict is Verdict.VIOLATED
+    assert res.witnesses == (("b1", "confirmed"), ("failed", "b2", "second-fails"))
 
 
 def test_verify_all_order_and_verdicts():
