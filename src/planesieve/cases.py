@@ -32,15 +32,14 @@ from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
 _FACTOR_CAP = 10**18
 
 
-def _prime_powers(limit: int) -> list[tuple[int, int, int]]:
-    """All (value, p, e) with value = p**e <= limit, sorted by value."""
+def _prime_powers(limit: int) -> list[tuple[int, int]]:
+    """All (value, p) with value = p**e <= limit, e >= 1, sorted by value."""
     out = []
     for p in small_primes(limit):
-        value, e = p, 1
+        value = p
         while value <= limit:
-            out.append((value, p, e))
+            out.append((value, p))
             value *= p
-            e += 1
     return sorted(out)
 
 
@@ -315,7 +314,7 @@ def _psl2_parab(rec: Record, a_max: int) -> None:
        parameters="prime powers q = 1 mod 4 with p = 1 mod 3, q <= 10^4")
 def _psl2_q13(rec: Record, _bound: int | None) -> None:
     survivors = []
-    for q, p, _ in _prime_powers(10_000):
+    for q, p in _prime_powers(10_000):
         if q % 4 != 1 or p % 3 != 1:
             continue
         u = quadratic_ratio_root(q)
@@ -368,7 +367,7 @@ def _psl2_pgl(rec: Record, _bound: int | None) -> None:
        default_bound=10**6, bound_kind="q")
 def _psl2_subfield(rec: Record, q_max: int) -> None:
     checked_high = checked_low = 0
-    for r, _, _ in _prime_powers(isqrt(q_max) + 1):
+    for r, _ in _prime_powers(isqrt(q_max) + 1):
         if r % 2 == 0 or r < 3:
             continue
         a = 3
@@ -428,7 +427,7 @@ def _psl3_q13(rec: Record, _bound: int | None) -> None:
        parameters="prime powers q <= 64", default_bound=64, bound_kind="q")
 def _psl3_type67(rec: Record, q_max: int) -> None:
     passing = []
-    for q, p, _ in _prime_powers(q_max):
+    for q, p in _prime_powers(q_max):
         if 24 * (q * q + q + 1) > q**3 - q:
             passing.append((q, p))
             if q > 25:
@@ -561,7 +560,7 @@ def _u_n6_b2(rec: Record, _bound: int | None) -> None:
        parameters="prime powers q <= 10^4", default_bound=10_000, bound_kind="q")
 def _sp_parab(rec: Record, q_max: int) -> None:
     count = 0
-    for q, p, _ in _prime_powers(q_max):
+    for q, p in _prime_powers(q_max):
         if p == 3:
             continue
         count += 1
@@ -644,7 +643,7 @@ def _e6_sandwich(rec: Record, q_max: int) -> None:
     minus_reading_failures = 0
     upper_count = lower_count = 0
     small_nonrepresentable = []
-    for q, _, _ in _prime_powers(q_max):
+    for q, _ in _prime_powers(q_max):
         target = s * s * _e6_triple(q)
         u_scaled = _e6_scaled(_E6_NUM_PLUS, q)
         u1 = u_scaled - 1

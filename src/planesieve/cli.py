@@ -3,11 +3,12 @@
 Subcommands replay the elimination ledger, run the order sieve, and
 answer exact-arithmetic queries (orders, parabolic indices, involution
 class sizes, factorizations).  Structured output is a line-delimited
-record stream with a trailing summary record, so long scans stay
-streamable.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
-3 internal error, such as a group value past Python's int-to-str digit
-limit.  The argument parser is built on the first `main` call and
-reused by every later call in the process.
+record stream with a trailing summary record; `scan` does not stream
+yet, and prints nothing until its last row is sieved.  Exit codes: 0
+success, 1 verdict failure, 2 usage error, 3 internal error, such as a
+group value past Python's int-to-str digit limit.  The argument parser
+is built on the first `main` call and reused by every later call in
+the process.
 """
 
 from __future__ import annotations

@@ -88,8 +88,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite odd n, deterministic schedule."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, m = 2, 128
         g = r = q = 1

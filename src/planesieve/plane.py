@@ -10,6 +10,7 @@ classes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
@@ -32,28 +33,27 @@ class PlaneOrder:
     minus_factors: Factorization
 
 
-def plane_orders(u_min: int, u_max: int) -> list[PlaneOrder]:
+def plane_orders(u_min: int, u_max: int) -> Iterator[PlaneOrder]:
     """Exact plane-order data for x = u**2, u = u_min, ..., u_max
-    (2 <= u_min <= u_max).  Both halves of each v are read off one sieve
-    pass, and neighbouring rows share a value: u**2 - u + 1 at u is
-    u**2 + u + 1 at u - 1."""
+    (2 <= u_min <= u_max), yielded one u at a time.  Both halves of each
+    v are read off one sieve pass, and neighbouring rows share a value:
+    u**2 - u + 1 at u is u**2 + u + 1 at u - 1.  A bad range raises
+    ValueError when the first row is asked for."""
     if not 2 <= u_min <= u_max:
         raise ValueError(f"plane_orders expects 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
-    out = []
     halves = pairwise(phi3_factorizations(u_min - 1, u_max))
     for u, (minus, plus) in zip(range(u_min, u_max + 1), halves):
         x = u * u
         v = x * x + x + 1
         assert v == plus.value * minus.value and gcd(plus.value, minus.value) == 1
         v_factors = Factorization(v, tuple(sorted(plus.factors + minus.factors)))
-        out.append(PlaneOrder(u=u, v=v, v_factors=v_factors,
-                              plus_factors=plus, minus_factors=minus))
-    return out
+        yield PlaneOrder(u=u, v=v, v_factors=v_factors,
+                         plus_factors=plus, minus_factors=minus)
 
 
 def plane_order(u: int) -> PlaneOrder:
     """Exact plane-order data for square order x = u**2.  Requires u >= 2."""
-    return plane_orders(u, u)[0]
+    return next(plane_orders(u, u))
 
 
 def admissible_index(n: int | Factorization) -> bool:

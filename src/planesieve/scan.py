@@ -6,6 +6,26 @@ not a forbidden proper prime power, any repeated-prime part satisfies
 the cofactor inequality, and optionally each candidate group passes
 the involution counting gate.  Survival means "not yet eliminated",
 never that a plane or an action exists.
+
+The four filters before the candidate gate hold at every u >= 2, so
+only the candidate gate can eliminate a row; the rows still compute
+them, as the runtime witness of the proofs.  Write a = u^2+u+1 =
+Phi_3(u) and b = u^2-u+1 = Phi_3(u-1), so v = ab = Phi_3(u^2).
+
+- coprime-halves: a - b = 2u, so gcd(a, b) divides 2u.  Both halves
+  are odd and are 1 mod every prime of u, so the gcd is 1.
+- admissible-value: a prime p != 3 dividing Phi_3(x) gives x order 3
+  mod p, so p = 1 mod 3.  If 3 divides Phi_3(x), then x = 1 mod 3 and
+  Phi_3(x) = 3 mod 9.  With x = u^2, 9 never divides v.
+- ljunggren: u^2 < a < (u+1)^2, so a is no even power.  For an odd
+  prime q, x^2+x+1 = y^q with x >= 2 has the one solution x = 18,
+  y = 7, q = 3 (Ljunggren 1943), and the filter passes 343.
+- kantor: let p^e exactly divide v, e >= 2, and let h be the half it
+  divides.  If h = p^e, h is a proper prime power, so h = 343 by the
+  two facts above (u = 18 or 19), which the gate exempts.  Otherwise
+  k = h/p^e > 1 has only primes 3 and 1 mod 3, so k >= 3, and the
+  cofactor is at least 3b > 8a/3 >= 8p^e for u >= 17
+  (9b - 8a = u^2 - 17u + 1).  The tests check u <= 16 directly.
 """
 
 from __future__ import annotations

@@ -407,10 +407,13 @@ def test_large_group_orders_answer_in_bounded_time(argv):
     assert all(sympy.isprime(p) for p, _ in powers)
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_sample(command):
     """The output README.md shows under `$ planesieve <command>`, up to the
     next prompt or the end of its code block."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = _README.read_text().splitlines()
     start = lines.index(f"$ planesieve {command}") + 1
     end = next(i for i in range(start, len(lines))
                if lines[i].startswith("$ ") or lines[i] == "```")
@@ -427,3 +430,8 @@ def test_readme_samples_match_the_cli(capsys, command):
         return re.sub(r"[0-9.]+ ms\)", "<ms> ms)", text)
 
     assert mask(out) == mask(_readme_sample(command))
+
+
+def test_readme_library_block_runs():
+    [block] = re.findall(r"^```python\n(.*?)^```$", _README.read_text(), re.M | re.S)
+    exec(block, {})

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import planesieve.exactmath
 from planesieve.exactmath import factorize, is_prime_power, phi3_factorizations
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
@@ -47,6 +48,19 @@ def test_plane_order_identities():
         assert plus * minus == plane.v
         assert gcd(plus, minus) == 1
         assert plane.v_factors.reassemble() == plane.v
+
+
+def test_plane_orders_yields_lazily(monkeypatch):
+    # the first row needs only the first sieve block, not the whole range
+    real, calls = planesieve.exactmath._factor_into, []
+
+    def spy(m, depth, acc):
+        calls.append(m)
+        real(m, depth, acc)
+
+    monkeypatch.setattr(planesieve.exactmath, "_factor_into", spy)
+    assert next(plane_orders(2, 50_000)).u == 2
+    assert 0 < len(calls) <= 2048
 
 
 @pytest.mark.parametrize("u_min,u_max", [(2, 3000), (999001, 10**6)])

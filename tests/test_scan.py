@@ -2,6 +2,8 @@
 invariant against independent recomputation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planesieve.exactmath
 import planesieve.plane
@@ -90,6 +92,29 @@ def test_survived_matches_independent_recomputation():
                     and all(row.v // p**e > 8 * p**e or p**e == 343
                             for p, e in row.v_factors.factors if e >= 2))
         assert row.survived == expected, row.u
+
+
+def _every_filter_passes(u_min, u_max):
+    # the four candidate-free filters are theorems (see the scan module
+    # docstring), so without candidates every row survives on all four
+    rows = sieve_orders(u_min, u_max)
+    assert [row.u for row in rows] == list(range(u_min, u_max + 1))
+    for row in rows:
+        assert len(row.filter_trace) == 4, row.u
+        assert all(ok for _, ok in row.filter_trace) and row.survived, row.u
+
+
+def test_candidate_free_rows_all_survive_exhaustively():
+    # includes u <= 16, the rows the Kantor cofactor bound leaves to a
+    # direct check
+    _every_filter_passes(2, 20_000)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, U_CAP), st.integers(0, 300))
+@example(10**6 - 300, 300)
+def test_candidate_free_rows_all_survive_in_windows(u_min, width):
+    _every_filter_passes(u_min, min(u_min + width, U_CAP))
 
 
 def test_kantor_filter_fires_on_repeated_primes():
