@@ -17,7 +17,7 @@ elimination.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd, isqrt, prod
 from typing import Callable
 
@@ -41,14 +41,6 @@ def _prime_powers(limit: int) -> list[tuple[int, int]]:
             out.append((value, p))
             value *= p
     return sorted(out)
-
-
-def _v3(n: int) -> int:
-    e = 0
-    while n % 3 == 0:
-        n //= 3
-        e += 1
-    return e
 
 
 def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
@@ -144,32 +136,18 @@ def _alt_ratio(rec: Record, n_max: int) -> None:
         rec.note("tightest", 11, 11 * 10, 3 * 7 * 6)
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        out.append(length)
-    return sorted(out)
+def _is_even(sigma: tuple[int, ...]) -> bool:
+    """Whether sigma has an even number of inversions."""
+    return sum(x > y for x, y in combinations(sigma, 2)) % 2 == 0
 
 
-def _is_even(cycles: list[int]) -> bool:
-    # a permutation's parity is that of its size minus its cycle count
-    return (sum(cycles) - len(cycles)) % 2 == 0
-
-
-def _even_doubles(perms) -> int:
-    """How many of perms are even with the cycle type of a double
-    transposition on 7 points."""
-    return sum(1 for cycles in map(_cycle_lengths, perms)
-               if _is_even(cycles) and cycles == [1, 1, 1, 2, 2])
+def _doubles(perms) -> int:
+    """How many of perms are double transpositions on 7 points: the
+    involutions that move exactly four points.  A product of two
+    transpositions is even, so no parity filter is needed."""
+    return sum(1 for p in perms
+               if all(p[p[i]] == i for i in range(7))
+               and sum(p[i] != i for i in range(7)) == 4)
 
 
 @_case(id="ALT-A7", section="alternating/degree-7",
@@ -178,12 +156,12 @@ def _even_doubles(perms) -> int:
               "breaks the chain at a recorded step",
        parameters="brute force over all 5040 permutations of 7 points")
 def _alt_a7(rec: Record, _bound: int | None) -> None:
-    n_g = _even_doubles(permutations(range(7)))
+    n_g = _doubles(permutations(range(7)))
     # S5 sits in A7 with each odd sigma also swapping 5 and 6
-    s5_count = _even_doubles(sigma + ((5, 6) if _is_even(_cycle_lengths(sigma)) else (6, 5))
-                             for sigma in permutations(range(5)))
-    a6_count = _even_doubles(sigma + (6,) for sigma in permutations(range(6)))
-    a5_count = _even_doubles(sigma + (5, 6) for sigma in permutations(range(5)))
+    s5_count = _doubles(sigma + ((5, 6) if _is_even(sigma) else (6, 5))
+                        for sigma in permutations(range(5)))
+    a6_count = _doubles(sigma + (6,) for sigma in permutations(range(6)))
+    a5_count = _doubles(sigma + (5, 6) for sigma in permutations(range(5)))
 
     if n_g != 105 or n_g != comb(7, 2) * comb(5, 2) // 2:
         rec.fail("class-size-mismatch", n_g)
@@ -470,41 +448,34 @@ def _u_parab_mod(rec: Record, n_max: int) -> None:
         # into the values Phi_d(2): the pieces of 2^(a n_even) - 1 less those
         # of 2^(2a) - 1, then the plus-pieces of 2^(a n_odd) + 1
         q_squared = cyclotomic_pieces(2, 2 * a)
+        minus = {m: [x for d, x in cyclotomic_pieces(2, a * m).items() if d not in q_squared]
+                 for m in range(2, n_max + 1, 2)}
+        plus = {m: list(cyclotomic_pieces(2, a * m, plus=True).values())
+                for m in range(3, n_max + 1, 2)}
         for n in range(3, n_max + 1):
             n_even, n_odd = (n, n - 1) if n % 2 == 0 else (n - 1, n)
-            pieces = {d: x for d, x in cyclotomic_pieces(2, a * n_even).items()
-                      if d not in q_squared}
-            pieces |= cyclotomic_pieces(2, a * n_odd, plus=True)
-            values = [pieces[d] for d in sorted(pieces)]
+            values = minus[n_even] + plus[n_odd]
             index = _unitary_first_index(a, n)
             if prod(values) != index:
                 rec.fail("piece-identity-failure", a, n)
                 continue
-            v3 = sum(_v3(x) for x in values)
+            # the index is now the pieces' product, so it is read mod 9 in their place
             if a in (3, 9):
-                if v3 < 2:
-                    rec.fail("nine-floor-failure", a, n, v3)
+                if index % 9:
+                    rec.fail("nine-floor-failure", a, n, int(index % 3 == 0))
                 continue
-            if v3 >= 2:
+            if index % 9 == 0 or any(x % 3 == 2 for x in values):
                 fail_count += 1
                 continue
-            if any(x % 3 == 2 for x in values):
-                fail_count += 1
-                continue
-            status = "pass"
+            blocked = False
             for x in values:
                 piece = _one_mod_three_only(x, strip)
                 if piece is False:
-                    status = "fail"
+                    fail_count += 1
                     break
-                if piece is None:
-                    status = "undecided"
-            if status == "fail":
-                fail_count += 1
-            elif status == "pass":
-                passes.append((a, n))
+                blocked = blocked or piece is None
             else:
-                undecided.append((a, n))
+                (undecided if blocked else passes).append((a, n))
 
     for a, n in passes + undecided:
         if n % 12 != 2:
@@ -889,7 +860,7 @@ def _sporadic(rec: Record, _bound: int | None) -> None:
         if problems:
             rec.fail("failed", name, *problems)
             continue
-        if _v3(index) >= 2:
+        if index % 9 == 0:
             rec.note(name, subgroup, index, "nine-divides")
         else:
             bad = min(p for p, _ in factorize(index).factors if p % 3 == 2)

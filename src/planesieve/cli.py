@@ -84,11 +84,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "structured":
         _emit(ledger.report_record(res))
     else:
-        case = ledger.get_case(args.case_id)
         print(f"{res.id}: {res.verdict.value.upper()}  ({res.elapsed_ms:.1f} ms)")
-        print(f"  section:    {case.section}")
-        print(f"  claim:      {case.anchor}")
-        print(f"  parameters: {case.parameters}")
+        print(f"  section:    {res.case.section}")
+        print(f"  claim:      {res.case.anchor}")
+        print(f"  parameters: {res.case.parameters}")
         if res.bound is not None:
             print(f"  bound:      {res.bound}")
         for w in res.witnesses[:10]:

@@ -313,7 +313,7 @@ def parabolic_index_factorization(spec: GroupSpec, m: int) -> Factorization:
 _MIN_DEGREE_EXCEPTIONS = {
     ("PSL", 2, 5): 5, ("PSL", 2, 7): 7, ("PSL", 2, 9): 6, ("PSL", 2, 11): 11,
     ("PSL", 4, 2): 8,
-    ("PSU", 3, 5): 50, ("PSU", 4, 2): 27, ("PSU", 4, 3): 112, ("PSU", 6, 2): 672,
+    ("PSU", 3, 5): 50, ("PSU", 6, 2): 672,
     ("PSp", 4, 3): 27,
 }
 
@@ -331,7 +331,8 @@ def min_proper_index(spec: GroupSpec) -> int | None:
     if fam == "POmega" and q <= 3 or fam == "G2" and q < 5:
         return None
     if fam in ("PSL", "PSU", "PSp", "POmega", "G2"):
-        return parabolic_index(spec, 1)
+        # PSU(4, q) acts on fewer isotropic lines, (q+1)(q^3+1), than points
+        return parabolic_index(spec, 2 if (fam, spec.n) == ("PSU", 4) else 1)
     return None
 
 

@@ -89,11 +89,17 @@ class CaseCheck:
 
 @dataclass(frozen=True)
 class CaseResult:
-    id: str
+    """The outcome of one replay, with the case that ran."""
+
+    case: CaseCheck
     verdict: Verdict
     witnesses: tuple
     elapsed_ms: float
     bound: int | None = None
+
+    @property
+    def id(self) -> str:
+        return self.case.id
 
 
 def _default_registry() -> Sequence[CaseCheck]:
@@ -129,7 +135,7 @@ def replay(case_id: str, bound: int | None = None,
         verdict = Verdict.INCONCLUSIVE
     else:
         verdict = Verdict.ELIMINATED
-    return CaseResult(id=case.id, verdict=verdict, witnesses=tuple(rec.witnesses),
+    return CaseResult(case=case, verdict=verdict, witnesses=tuple(rec.witnesses),
                       elapsed_ms=elapsed_ms, bound=bound if truncated else None)
 
 
@@ -165,11 +171,10 @@ def all_eliminated(results: Sequence[CaseResult]) -> bool:
 
 def report_record(result: CaseResult) -> dict[str, Any]:
     """One serializable report record per case result."""
-    case = get_case(result.id)
     record: dict[str, Any] = {
         "id": result.id,
-        "section": case.section,
-        "anchor": case.anchor,
+        "section": result.case.section,
+        "anchor": result.case.anchor,
         "verdict": result.verdict.value,
         "witness_count": len(result.witnesses),
         "witnesses": list(result.witnesses[:10]),

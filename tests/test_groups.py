@@ -192,7 +192,7 @@ def test_group_arithmetic_golden_digest():
              for spec in _valid_specs(64, 12)]
     assert len(lines) == 1117
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "f56813450fd51e48dfffbe63b7277dbf97fb2c9a58ae739344b9ce06a800fbea")
+        "c83afcc45ba2493e0ae7112b00a1d6e3be1d31578bca3913d9c7e06097024902")
 
 
 def test_piecewise_factorizations_match_factorize():
@@ -203,6 +203,13 @@ def test_piecewise_factorizations_match_factorize():
         for m, index in _wired_indices(spec):
             if not isinstance(index, str):
                 assert parabolic_index_factorization(spec, m) == factorize(index), (spec, m)
+
+
+def test_min_proper_index_is_at_most_every_parabolic_index():
+    for spec in _valid_specs(64, 12):
+        floor = min_proper_index(spec)
+        for _, index in _wired_indices(spec):
+            assert floor is None or isinstance(index, str) or floor <= index, spec
 
 
 def test_min_proper_index_known():

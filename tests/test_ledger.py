@@ -1,6 +1,7 @@
 """Ledger mechanics: replay, truncation semantics, determinism,
 and reporting."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -174,6 +175,18 @@ def test_toy_registry_violation():
     assert not ledger.all_eliminated([res])
 
 
+def test_report_record_reads_the_replayed_case():
+    # the report names the case that ran, not the default case of its id
+    record = ledger.report_record(ledger.replay("TOY-BAD", registry=_toy_registry([])))
+    assert (record["id"], record["section"], record["anchor"]) \
+        == ("TOY-BAD", "toy/bad", "toy failing claim")
+    altered = tuple(dataclasses.replace(case, section="altered", anchor="altered claim")
+                    for case in REGISTRY)
+    record = ledger.report_record(ledger.replay("PSL2-Q13", registry=altered))
+    assert (record["id"], record["section"], record["anchor"]) \
+        == ("PSL2-Q13", "altered", "altered claim")
+
+
 def test_failed_scan_beats_truncation():
     def check(rec, bound):
         rec.fail("bad", bound)
@@ -291,6 +304,31 @@ def test_u_parab_mod_factors_only_exponents(monkeypatch):
     ledger.replay("U-PARAB-MOD")
     pairs = 5 * (50 - 2)  # a in (1, 3, 5, 7, 9), n in 3..50
     assert 0 < len(calls) <= 3 * pairs
+
+
+def test_u_parab_mod_builds_each_column_once(monkeypatch):
+    # one table of minus-pieces and one of plus-pieces per column a: the
+    # exponents a*m for m <= 50, plus the q^2 - 1 pieces
+    real = planesieve.cases.cyclotomic_pieces
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planesieve.cases, "cyclotomic_pieces", spy)
+    ledger.replay("U-PARAB-MOD")
+    assert 0 < len(calls) <= 250
+
+
+def test_u_parab_mod_every_bound_golden_digest():
+    # byte-for-byte pin of the verdict and witnesses at every bound
+    lines = []
+    for b in range(1, 51):
+        res = ledger.replay("U-PARAB-MOD", bound=b)
+        lines.append(f"{b} {res.verdict.value} {res.witnesses!r}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "da89001baf15ccfb31029c1eb1cac19f387a21f3a20f5ff938f84e898e0039de")
 
 
 @pytest.mark.parametrize("name, stub, digest", [

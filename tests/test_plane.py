@@ -176,5 +176,7 @@ def test_involution_counts_absences():
 
 def test_fixed_count_bound_brute_force():
     for ratio in range(1, 10**4 + 1):
-        us = [u for u in range(1, ratio + 2) if u * u - u + 1 <= ratio]
-        assert max(u * u + u + 1 for u in us) <= fixed_count_bound(ratio), ratio
+        u = 1
+        while u * u - u + 1 <= ratio:
+            assert u * u + u + 1 <= fixed_count_bound(ratio), (ratio, u)
+            u += 1
