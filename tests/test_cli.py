@@ -183,17 +183,31 @@ def test_scan_structured_stream_golden_digest(capsys):
         "456fca998952f0c1fe062320b3c01f697cf0feaa9a40a2670a3073c3cf2f7117")
 
 
+# One candidate per catalog class; also the benchmark's seed-1 scan-low list.
+WHOLE_CATALOG = ("PSL 2 49,PSL 2 59,PSL 2 8,PSL 3 71,PSL 3 16,PSL 9 103,PSL 4 5,"
+                 "PSL 8 37,PSL 5 64,PSp 4 27,PSp 8 121,PSU 10 37,PSU 3 109,"
+                 "POmega 7 73 o,POmega 13 59 o,G2 109,F4 31,3D4 67,E6 97 -,E7 7,"
+                 "E7 5,E8 61")
+
+
 def test_scan_whole_catalog_golden_digest(capsys):
     # one candidate per catalog class, each through the precomputed gate
-    candidates = ("PSL 2 49,PSL 2 59,PSL 2 8,PSL 3 71,PSL 3 16,PSL 9 103,PSL 4 5,"
-                  "PSL 8 37,PSL 5 64,PSp 4 27,PSp 8 121,PSU 10 37,PSU 3 109,"
-                  "POmega 7 73 o,POmega 13 59 o,G2 109,F4 31,3D4 67,E6 97 -,E7 7,"
-                  "E7 5,E8 61")
     code, out, _ = _run(capsys, "scan", "--u-min", "2", "--u-max", "400",
-                        "--candidates", candidates, "--format", "structured")
+                        "--candidates", WHOLE_CATALOG, "--format", "structured")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dcfb95c05c7560604adca2645235b2e556126d04e8927e5c3510713e6e4b532b")
+
+
+def test_scan_low_seed_one_golden_digest(capsys):
+    # the benchmark's seed-1 scan-low invocation, byte for byte; every
+    # one of its 1499 rows is eliminated by some candidate
+    code, out, _ = _run(capsys, "scan", "--u-min", "2", "--u-max", "1500",
+                        "--candidates", WHOLE_CATALOG, "--format", "structured")
+    assert code == 0
+    assert out.endswith('{"record": "summary", "rows": 1499, "survivors": 0}\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77d2a029789a21928c20accf6502663b44536ee02c38ff453e46afb5ff34622e")
 
 
 @pytest.mark.parametrize("args, digest", [
