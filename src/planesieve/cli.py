@@ -103,8 +103,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         survivors += row.survived
         if args.format == "structured":
             _emit({"record": "row", "u": row.u, "v": row.v,
-                   "v_factors": [list(pe) for pe in row.v_factors.factors],
-                   "filters": [[name, passed] for name, passed in row.filter_trace],
+                   "v_factors": row.v_factors.factors, "filters": row.filter_trace,
                    "survived": row.survived})
         else:
             trace = " ".join(f"{name}{'+' if passed else '-'}"

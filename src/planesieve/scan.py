@@ -31,7 +31,7 @@ Phi_3(u) and b = u^2-u+1 = Phi_3(u-1), so v = ab = Phi_3(u^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
@@ -44,7 +44,9 @@ U_CAP = 10**6
 
 @dataclass(frozen=True)
 class GateVerdict:
-    """Outcome of the counting gate for one plane order and one group."""
+    """Outcome of the counting gate for one group.  prepare_candidate
+    builds each outcome once per scan, and the gate hands the same
+    object to every row that gets it."""
 
     spec: str
     outcome: str  # "pass" | "fail" | "uncovered"
@@ -61,35 +63,49 @@ class SieveRow:
 
 @dataclass(frozen=True)
 class Candidate:
-    """What the counting gate needs of a candidate group, none of which
-    depends on the plane order: the size of each catalog involution
-    class, and the index floor (None when no floor is wired for the
-    family or no catalog class covers the group)."""
+    """Everything the counting gate needs of a candidate group, none of
+    which depends on the plane order: the row's trace label, the size of
+    each catalog involution class and their lcm, the index floor (None
+    when no floor is wired for the family or no catalog class covers the
+    group), and the gate's two verdicts, indexed by whether the row
+    passed.  An uncovered group has no sizes, so its lcm is 1, and both
+    of its verdicts are "uncovered"."""
 
-    name: str
+    label: str
     sizes: tuple[int, ...]
+    lcm: int
     floor: int | None
+    verdicts: tuple[GateVerdict, GateVerdict]
 
 
 def prepare_candidate(spec: GroupSpec) -> Candidate:
-    """Evaluate spec's class sizes and index floor, once per scan."""
+    """Evaluate spec's class sizes, their lcm, its index floor and its
+    verdicts, once per scan."""
+    name = str(spec)
     sizes = tuple(involution_class_size(entry) for entry in classes_for(spec))
-    return Candidate(name=str(spec), sizes=sizes,
-                     floor=min_proper_index(spec) if sizes else None)
+    if sizes:
+        floor = min_proper_index(spec)
+        verdicts = (GateVerdict(spec=name, outcome="fail"), GateVerdict(spec=name, outcome="pass"))
+    else:
+        floor, verdicts = None, (GateVerdict(spec=name, outcome="uncovered"),) * 2
+    return Candidate(label=f"candidate-{name}", sizes=sizes, lcm=lcm(*sizes), floor=floor,
+                     verdicts=verdicts)
 
 
 def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
     """Test whether any catalog involution class of the candidate admits
     the counting identity v = (n_g/r_g)(u^2+u+1) at this plane order:
     some class size n_g must be a multiple of u^2-u+1, and v must exceed
-    the index floor.  The candidate's data is precomputed, so only these
-    two tests are left to each row."""
-    if not cand.sizes:
-        return GateVerdict(spec=cand.name, outcome="uncovered")
+    the index floor.  The candidate's data and verdicts are prepared
+    once per scan, so a row costs one modulus by the lcm of the sizes,
+    which u^2-u+1 divides whenever it divides some n_g; only rows that
+    pass it test each size and the floor.  An uncovered candidate fails
+    the lcm test (u^2-u+1 >= 3) and gets its "uncovered" verdict."""
     ratio = plane.minus_factors.value
-    passed = (any(n_g % ratio == 0 for n_g in cand.sizes)
+    passed = (cand.lcm % ratio == 0
+              and any(n_g % ratio == 0 for n_g in cand.sizes)
               and (cand.floor is None or plane.v > cand.floor))
-    return GateVerdict(spec=cand.name, outcome="pass" if passed else "fail")
+    return cand.verdicts[passed]
 
 
 def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
@@ -107,9 +123,7 @@ def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
         holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, plane.u) for p, e in repeated)
         trace.append(("kantor", holds))
 
-    for cand in candidates:
-        verdict = candidate_gate(plane, cand)
-        trace.append((f"candidate-{verdict.spec}", verdict.outcome != "fail"))
+    trace += [(cand.label, candidate_gate(plane, cand).outcome != "fail") for cand in candidates]
 
     return SieveRow(u=plane.u, v=plane.v, v_factors=factors,
                     filter_trace=tuple(trace),

@@ -51,6 +51,23 @@ def brute_psl2_order(q):
     return sl // gcd(2, q - 1)
 
 
+def brute_psl2_involutions(q):
+    """Involutions of PSL(2,q): the determinant-one 2x2 matrices A with
+    A^2 = +-I and A != +-I, squared out entry by entry, counted in
+    SL(2,q) and divided by the centre {+-I}."""
+    f = TinyField(q)
+    minus_one = f.neg(f.one)
+    centre = {(f.one, f.zero, f.zero, f.one), (minus_one, f.zero, f.zero, minus_one)}
+    count = 0
+    for a, b, c, d in product(f.elements, repeat=4):
+        if f.add(f.mul(a, d), f.neg(f.mul(b, c))) != f.one:
+            continue
+        square = (f.add(f.mul(a, a), f.mul(b, c)), f.add(f.mul(a, b), f.mul(b, d)),
+                  f.add(f.mul(c, a), f.mul(d, c)), f.add(f.mul(c, b), f.mul(d, d)))
+        count += square in centre and (a, b, c, d) not in centre
+    return count // len(centre)
+
+
 def brute_subspace_count(n, m, q):
     """Number of m-dimensional subspaces of GF(q)^n, prime q only,
     by enumerating spans as frozensets of vectors."""

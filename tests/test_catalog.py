@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from _oracles import brute_psl2_involutions
 from planesieve.catalog import (CLASS_TEMPLATES, catalog_records, classes_for,
                                 involution_class_size)
 from planesieve.groups import group_spec, order
@@ -105,6 +106,18 @@ def test_psl2_parity_split_by_q_mod_4():
         == ["psl2-odd-minus"]
     assert [e.label for e in classes_for(group_spec("PSL", n=2, q=8))] \
         == ["psl2-even"]
+
+
+@pytest.mark.parametrize("q, label, count", [
+    (4, "psl2-even", 15), (5, "psl2-odd-plus", 15), (7, "psl2-odd-minus", 21),
+    (9, "psl2-odd-plus", 45), (11, "psl2-odd-minus", 55), (13, "psl2-odd-plus", 91),
+])
+def test_psl2_involutions_match_brute_force(q, label, count):
+    # PSL(2,q) has one class of involutions, so the catalog's one class
+    # must hold every involution the enumeration finds
+    entries = classes_for(group_spec("PSL", n=2, q=q))
+    assert [e.label for e in entries] == [label]
+    assert brute_psl2_involutions(q) == involution_class_size(entries[0]) == count
 
 
 def test_catalog_records_serializable():

@@ -1,7 +1,9 @@
 """Command-line behavior: output, exit codes, and the structured
 record stream."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planesieve
 from planesieve import cli, exactmath, groups
@@ -224,6 +228,38 @@ def test_scan_range_golden_digest(capsys, args, digest):
     code, out, _ = _run(capsys, "scan", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A candidate group as the CLI reads it: either well formed, a family of
+# parse_group's grammar with its parameters drawn inside the caps (q
+# mostly a prime power), or loose tokens: families, integers and junk.
+_FAMILIES = sorted(groups._PARAMETERS)
+_PARAMETER = {
+    "n": st.integers(1, cli.RANK_CAP),
+    "q": st.one_of(st.sampled_from([q for q in range(2, cli.Q_CAP + 1) if exactmath.is_prime_power(q)]),
+                   st.integers(2, cli.Q_CAP)),
+    "eps": st.sampled_from("+-o"),
+    "name": st.sampled_from(sorted(groups.SPORADIC_ORDERS)),
+}
+_WELL_FORMED = st.sampled_from(_FAMILIES).flatmap(
+    lambda fam: st.tuples(st.just(fam), *(_PARAMETER[name] for name in groups._PARAMETERS[fam])))
+_LOOSE = st.lists(st.one_of(st.sampled_from(_FAMILIES), st.integers(-2, cli.Q_CAP),
+                            st.text(max_size=3)), max_size=4)
+_CANDIDATE = st.one_of(_WELL_FORMED, _LOOSE).map(lambda tokens: " ".join(map(str, tokens)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CANDIDATE, max_size=3))
+def test_scan_candidates_fuzz_exits_ok_or_usage(candidates):
+    # every accepted group is prepared (class sizes, their lcm, the index
+    # floor); a refused one is a usage error, never an internal one
+    text = ",".join(candidates)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["scan", "--u-min", "2", "--u-max", "3", "--candidates", text])
+        except SystemExit as exc:  # argparse refuses a value that looks like an option
+            code = exc.code
+    assert code in (0, 2), text
 
 
 def test_order_and_index_grid_golden_digest(capsys):

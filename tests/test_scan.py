@@ -1,6 +1,8 @@
 """Order sieve: row structure, the counting gate, and the survived
 invariant against independent recomputation."""
 
+from math import lcm
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 import planesieve.exactmath
 import planesieve.plane
 import planesieve.scan
+from planesieve.catalog import classes_for, involution_class_size
 from planesieve.exactmath import is_prime, nth_root
-from planesieve.groups import GroupSpec, group_spec
-from planesieve.plane import PlaneOrder, admissible_index, plane_order
+from planesieve.groups import GroupSpec, group_spec, min_proper_index, parse_group
+from planesieve.plane import PlaneOrder, admissible_index, plane_order, plane_orders
 from planesieve.scan import U_CAP, candidate_gate, prepare_candidate, sieve_orders
+
+from test_cli import WHOLE_CATALOG
 
 
 def test_row_u2_base_filters():
@@ -63,6 +68,62 @@ def test_candidate_gate_floor_kills_g2_at_u3():
 def test_candidate_gate_uncovered_family():
     verdict = _gate(plane_order(3), group_spec("A", n=7))
     assert verdict.outcome == "uncovered"
+
+
+# The whole-catalog candidates plus the three of the stream digest.  Over
+# u <= 6000 they reach every combination of the gate's tests; at u = 5330,
+# u^2-u+1 divides the lcm of the two class sizes of POmega(7,73) but
+# neither size, and v clears the floor, so the size test alone decides.
+_GATE_SPECS = tuple(parse_group(text.split()) for text in
+                    WHOLE_CATALOG.split(",") + ["PSL 2 13", "G2 7", "PSU 5 7"])
+_GATE_DATA = tuple((spec, [involution_class_size(entry) for entry in classes_for(spec)],
+                    min_proper_index(spec)) for spec in _GATE_SPECS)
+
+
+def _gate_matches_definition(u_min, u_max):
+    """Check the gate against its definition, read from the catalog and
+    groups directly rather than from the prepared Candidate; return the
+    (some size divides, the lcm divides, v clears the floor) triples seen."""
+    cands = [prepare_candidate(spec) for spec in _GATE_SPECS]
+    seen = set()
+    for plane in plane_orders(u_min, u_max):
+        u = plane.u
+        b, v = u * u - u + 1, u**4 + u * u + 1
+        for cand, (spec, sizes, floor) in zip(cands, _GATE_DATA):
+            divides = any(n % b == 0 for n in sizes)
+            clears = floor is None or v > floor
+            outcome = "pass" if divides and clears else "fail"
+            assert candidate_gate(plane, cand).outcome == outcome, (u, spec)
+            seen.add((divides, lcm(*sizes) % b == 0, clears))
+    return seen
+
+
+def test_candidate_gate_is_its_definition_exhaustively():
+    # a size that divides b makes the lcm divisible too: six combinations
+    seen = _gate_matches_definition(2, 6000)
+    assert seen == {(d, m, c) for d in (True, False) for m in (True, False)
+                    for c in (True, False) if m or not d}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, U_CAP), st.integers(0, 300))
+@example(U_CAP - 300, 300)
+def test_candidate_gate_is_its_definition_in_windows(u_min, width):
+    _gate_matches_definition(u_min, min(u_min + width, U_CAP))
+
+
+def test_verdicts_built_per_candidate_not_per_row(monkeypatch):
+    real = planesieve.scan.GateVerdict
+    built = []
+
+    def spy(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(planesieve.scan, "GateVerdict", spy)
+    specs = [group_spec("PSL", n=2, q=13), group_spec("G2", q=7), group_spec("PSU", n=5, q=7)]
+    rows = sieve_orders(2, 500, specs)
+    assert len(rows) == 499 and 0 < len(built) <= 3 * len(specs)
 
 
 def test_candidate_survivors_frozen():
