@@ -4,7 +4,11 @@ Subcommands replay the elimination ledger, run the order sieve, and
 answer exact-arithmetic queries (orders, parabolic indices, involution
 class sizes, factorizations).  Structured output is a line-delimited
 record stream with a trailing summary record; `scan` does not stream
-yet, and prints nothing until its last row is sieved.  Exit codes: 0
+yet, and prints nothing until its last row is sieved.  A scan encodes
+each distinct filter trace once per invocation, as JSON or as its text
+form; the trace pairs themselves come prebuilt from the gate's verdicts.
+Each row line is then one f-string holding the bytes
+`json.dumps(record, sort_keys=True)` would give.  Exit codes: 0
 success, 1 verdict failure, 2 usage error, 3 internal error, such as a
 group value past Python's int-to-str digit limit.  The argument parser
 is built on the first `main` call and reused by every later call in
@@ -98,19 +102,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     candidates = _parse_candidates(args.candidates) if args.candidates else None
     rows = sieve_orders(args.u_min, args.u_max, candidates)
+    structured = args.format == "structured"
+    # Few distinct filter traces occur in one scan, so each is encoded once.
+    encoded: dict[tuple[tuple[str, bool], ...], str] = {}
     survivors = 0
     for row in rows:
         survivors += row.survived
-        if args.format == "structured":
-            _emit({"record": "row", "u": row.u, "v": row.v,
-                   "v_factors": row.v_factors.factors, "filters": row.filter_trace,
-                   "survived": row.survived})
+        trace = encoded.get(row.filter_trace)
+        if trace is None:
+            trace = encoded[row.filter_trace] = (
+                json.dumps(row.filter_trace) if structured else
+                " ".join(f"{name}{'+' if passed else '-'}" for name, passed in row.filter_trace))
+        if structured:
+            # json.dumps(record, sort_keys=True), written out key by key
+            factors = ", ".join(f"[{p}, {e}]" for p, e in row.v_factors.factors)
+            print(f'{{"filters": {trace}, "record": "row", '
+                  f'"survived": {"true" if row.survived else "false"}, '
+                  f'"u": {row.u}, "v": {row.v}, "v_factors": [{factors}]}}')
         else:
-            trace = " ".join(f"{name}{'+' if passed else '-'}"
-                             for name, passed in row.filter_trace)
             tag = "survives" if row.survived else "ELIMINATED"
             print(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}")
-    if args.format == "structured":
+    if structured:
         _emit({"record": "summary", "rows": len(rows), "survivors": survivors})
     else:
         print(f"{len(rows)} rows, {survivors} survive")

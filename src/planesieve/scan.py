@@ -44,11 +44,13 @@ U_CAP = 10**6
 
 @dataclass(frozen=True)
 class GateVerdict:
-    """Outcome of the counting gate for one group.  prepare_candidate
-    builds each outcome once per scan, and the gate hands the same
-    object to every row that gets it."""
+    """Outcome of the counting gate for one group, with the entry it
+    puts in a row's filter trace: the candidate's label and whether the
+    row passed (any outcome but "fail").  prepare_candidate builds each
+    outcome once per scan, and the gate hands the same object to every
+    row that gets it."""
 
-    spec: str
+    entry: tuple[str, bool]
     outcome: str  # "pass" | "fail" | "uncovered"
 
 
@@ -64,14 +66,13 @@ class SieveRow:
 @dataclass(frozen=True)
 class Candidate:
     """Everything the counting gate needs of a candidate group, none of
-    which depends on the plane order: the row's trace label, the size of
-    each catalog involution class and their lcm, the index floor (None
-    when no floor is wired for the family or no catalog class covers the
-    group), and the gate's two verdicts, indexed by whether the row
-    passed.  An uncovered group has no sizes, so its lcm is 1, and both
-    of its verdicts are "uncovered"."""
+    which depends on the plane order: the size of each catalog
+    involution class and their lcm, the index floor (None when no floor
+    is wired for the family or no catalog class covers the group), and
+    the gate's two verdicts, indexed by whether the row passed.  An
+    uncovered group has no sizes, so its lcm is 1, and both of its
+    verdicts are "uncovered"."""
 
-    label: str
     sizes: tuple[int, ...]
     lcm: int
     floor: int | None
@@ -81,15 +82,15 @@ class Candidate:
 def prepare_candidate(spec: GroupSpec) -> Candidate:
     """Evaluate spec's class sizes, their lcm, its index floor and its
     verdicts, once per scan."""
-    name = str(spec)
+    label = f"candidate-{spec}"
     sizes = tuple(involution_class_size(entry) for entry in classes_for(spec))
     if sizes:
         floor = min_proper_index(spec)
-        verdicts = (GateVerdict(spec=name, outcome="fail"), GateVerdict(spec=name, outcome="pass"))
+        verdicts = (GateVerdict(entry=(label, False), outcome="fail"),
+                    GateVerdict(entry=(label, True), outcome="pass"))
     else:
-        floor, verdicts = None, (GateVerdict(spec=name, outcome="uncovered"),) * 2
-    return Candidate(label=f"candidate-{name}", sizes=sizes, lcm=lcm(*sizes), floor=floor,
-                     verdicts=verdicts)
+        floor, verdicts = None, (GateVerdict(entry=(label, True), outcome="uncovered"),) * 2
+    return Candidate(sizes=sizes, lcm=lcm(*sizes), floor=floor, verdicts=verdicts)
 
 
 def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
@@ -123,7 +124,7 @@ def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
         holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, plane.u) for p, e in repeated)
         trace.append(("kantor", holds))
 
-    trace += [(cand.label, candidate_gate(plane, cand).outcome != "fail") for cand in candidates]
+    trace += [candidate_gate(plane, cand).entry for cand in candidates]
 
     return SieveRow(u=plane.u, v=plane.v, v_factors=factors,
                     filter_trace=tuple(trace),

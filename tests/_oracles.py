@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration over
 tiny structures, with no dependence on the package's own formulas.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
@@ -66,6 +67,65 @@ def brute_psl2_involutions(q):
                   f.add(f.mul(c, a), f.mul(d, c)), f.add(f.mul(c, b), f.mul(d, d)))
         count += square in centre and (a, b, c, d) not in centre
     return count // len(centre)
+
+
+def _rank_and_det(matrix, p):
+    """(rank, determinant mod p) of a square matrix over GF(p), p prime,
+    by Gaussian elimination."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    rank, det = 0, 1
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if m[r][col]), None)
+        if pivot is None:
+            det = 0
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
+        inverse = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, n):
+            f = m[r][col] * inverse % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det % p
+
+
+def brute_psl_involution_classes(n, p):
+    """{fixed-space dimension: count} over the involutions of PSL(n,p),
+    for p prime with gcd(n, p-1) = 1, where PSL(n,p) = SL(n,p).  A row
+    is the int whose base-p digits are its entries, and a matrix the
+    int whose base-p^n digits are its rows; adding and scaling rows are
+    table lookups.  An involution is a determinant-one A != I with
+    A^2 = I, squared out row by row, and its fixed space is the kernel
+    of A - I."""
+    assert gcd(n, p - 1) == 1
+    size = p**n
+    digits = [tuple(r // p**j % p for j in range(n)) for r in range(size)]
+    code = {d: r for r, d in enumerate(digits)}
+    add = [[code[tuple((a + b) % p for a, b in zip(x, y))] for y in digits] for x in digits]
+    scale = [[code[tuple(c * a % p for a in x)] for x in digits] for c in range(p)]
+    identity = tuple(p**i for i in range(n))
+    classes = Counter()
+    for matrix in range(size**n):
+        rows = [matrix // size**i % size for i in range(n)]
+        for i, row in enumerate(rows):
+            square = 0
+            for c, other in zip(digits[row], rows):
+                square = add[square][scale[c][other]]
+            if square != identity[i]:
+                break
+        else:
+            if tuple(rows) == identity:
+                continue
+            entries = [digits[row] for row in rows]
+            if _rank_and_det(entries, p)[1] != 1:
+                continue
+            minus_identity = [[(a - (i == j)) % p for j, a in enumerate(row)]
+                              for i, row in enumerate(entries)]
+            classes[n - _rank_and_det(minus_identity, p)[0]] += 1
+    return dict(classes)
 
 
 def brute_subspace_count(n, m, q):

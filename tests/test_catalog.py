@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from _oracles import brute_psl2_involutions
+from _oracles import brute_psl2_involutions, brute_psl_involution_classes
 from planesieve.catalog import (CLASS_TEMPLATES, catalog_records, classes_for,
                                 involution_class_size)
 from planesieve.groups import group_spec, order
@@ -118,6 +118,25 @@ def test_psl2_involutions_match_brute_force(q, label, count):
     entries = classes_for(group_spec("PSL", n=2, q=q))
     assert [e.label for e in entries] == [label]
     assert brute_psl2_involutions(q) == involution_class_size(entries[0]) == count
+
+
+# Each template's anchor names its involution by its fixed space: a line
+# for eigenvalues -1,-1,1, a hyperplane for a transvection.  PSL(4,2) = A8
+# has a second class, the 210 involutions fixing a plane, which the
+# catalog leaves out.
+@pytest.mark.parametrize("n, p, label, fixed_dim, omitted", [
+    (3, 3, "psl3-odd", 1, {}),
+    (3, 2, "psl3-even", 2, {}),
+    (4, 2, "psl-transvection", 3, {2: 210}),
+])
+def test_psl_involution_classes_match_brute_force(n, p, label, fixed_dim, omitted):
+    entries = classes_for(group_spec("PSL", n=n, q=p))
+    assert [e.label for e in entries] == [label]
+    found = brute_psl_involution_classes(n, p)
+    listed = {fixed_dim: involution_class_size(entries[0])}
+    matched = {dim: count for dim, count in found.items() if listed.get(dim) == count}
+    assert matched == listed
+    assert {dim: count for dim, count in found.items() if dim not in listed} == omitted
 
 
 def test_catalog_records_serializable():

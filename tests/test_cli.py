@@ -13,13 +13,14 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planesieve
 from planesieve import cli, exactmath, groups
 from planesieve.cases import REGISTRY
 from planesieve.cli import main
+from planesieve.scan import U_CAP, sieve_orders
 
 from test_groups import _valid_specs
 
@@ -230,6 +231,69 @@ def test_scan_range_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Candidate lists for the row-encoder reference.  The first adds three
+# groups with passing gates and the uncovered A7 to the whole catalog,
+# which eliminates every row up to u = 3000; the second leaves the rows
+# u = 3, 4, 10 standing; the third is a plain scan.
+_ENCODER_CANDIDATES = (WHOLE_CATALOG + ",PSL 2 13,G2 7,PSU 5 7,A 7", "PSL 2 13,A 7", None)
+
+
+def _reference_line(row, structured):
+    """A scan row's line as the CLI wrote it before it encoded each filter
+    trace once per scan: json.dumps of the whole record, or the text
+    line's f-string."""
+    if structured:
+        return json.dumps({"record": "row", "u": row.u, "v": row.v,
+                           "v_factors": row.v_factors.factors, "filters": row.filter_trace,
+                           "survived": row.survived}, sort_keys=True)
+    factors = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in row.v_factors.factors)
+    trace = " ".join(f"{name}{'+' if passed else '-'}" for name, passed in row.filter_trace)
+    tag = "survives" if row.survived else "ELIMINATED"
+    return f"u={row.u} v={row.v}={factors} [{trace}] {tag}"
+
+
+def _rows_match_reference(u_min, u_max, candidates):
+    """Check every row line of both formats against _reference_line and
+    return the rows."""
+    specs = cli._parse_candidates(candidates) if candidates else None
+    rows = sieve_orders(u_min, u_max, specs)
+    extra = ("--candidates", candidates) if candidates else ()
+    for structured in (True, False):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["scan", "--u-min", str(u_min), "--u-max", str(u_max), *extra,
+                         "--format", "structured" if structured else "text"])
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines):
+            assert line == _reference_line(row, structured), row.u
+    return rows
+
+
+@pytest.mark.parametrize("candidates, survivors, entries", [
+    (_ENCODER_CANDIDATES[0], [], {("candidate-A7", True), ("candidate-E8(61)", True),
+                                  ("candidate-PSL(2,13)", False)}),
+    (_ENCODER_CANDIDATES[1], [3, 4, 10], {("candidate-A7", True), ("candidate-PSL(2,13)", True),
+                                          ("candidate-PSL(2,13)", False)}),
+    (_ENCODER_CANDIDATES[2], list(range(2, 3001)), set()),
+], ids=["catalog", "survivors", "plain"])
+def test_scan_rows_match_reference_encoding(candidates, survivors, entries):
+    rows = _rows_match_reference(2, 3000, candidates)
+    assert [row.u for row in rows if row.survived] == survivors
+    assert entries <= {entry for row in rows for entry in row.filter_trace}
+    # the seven-cubed exemption at u = 18, the cofactor test at 18 and 19
+    assert {("ljunggren-seven-cubed", True), ("kantor", True)} <= set(rows[16].filter_trace)
+    assert ("kantor", True) in rows[17].filter_trace
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, U_CAP), st.integers(0, 200), st.sampled_from(_ENCODER_CANDIDATES))
+@example(U_CAP - 200, 200, _ENCODER_CANDIDATES[0])
+def test_scan_rows_match_reference_encoding_in_windows(u_min, width, candidates):
+    _rows_match_reference(u_min, min(u_min + width, U_CAP), candidates)
+
+
 # A candidate group as the CLI reads it: either well formed, a family of
 # parse_group's grammar with its parameters drawn inside the caps (q
 # mostly a prime power), or loose tokens: families, integers and junk.
@@ -260,6 +324,32 @@ def test_scan_candidates_fuzz_exits_ok_or_usage(candidates):
         except SystemExit as exc:  # argparse refuses a value that looks like an option
             code = exc.code
     assert code in (0, 2), text
+
+
+# A factor argument: an integer around the accepted range, or junk.  A
+# junk token starting -h or --h would ask argparse for help, so none does.
+_FACTOR_TOKEN = st.one_of(st.integers(-5, 10**18).map(str),
+                          st.text(max_size=4).filter(lambda t: not t.startswith(("-h", "--h"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FACTOR_TOKEN, max_size=2))
+@example(["999999999999999989"])  # a prime
+@example(["999999866000004473"])  # 999999929 * 999999937
+def test_factor_fuzz_exits_ok_or_usage(tokens):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["factor", *tokens])
+        except SystemExit as exc:  # argparse refuses a missing, extra or non-integer n
+            code = exc.code
+    assert code in (0, 2), tokens
+    if code == 0:
+        [token] = tokens
+        head, factors = out.getvalue().rstrip("\n").split(" = ")
+        powers = [(int(p), int(e or 1)) for p, _, e in
+                  (term.partition("^") for term in factors.split(" * "))]
+        assert int(head) == int(token) == prod(p**e for p, e in powers)
 
 
 def test_order_and_index_grid_golden_digest(capsys):

@@ -126,6 +126,23 @@ def test_verdicts_built_per_candidate_not_per_row(monkeypatch):
     assert len(rows) == 499 and 0 < len(built) <= 3 * len(specs)
 
 
+def test_gate_called_once_per_row_per_candidate(monkeypatch):
+    # bench/tracer.py counts gate calls and passes by wrapping this module
+    # binding, so every (row, candidate) pair must go through it
+    real = planesieve.scan.candidate_gate
+    outcomes = []
+
+    def spy(plane, cand):
+        verdict = real(plane, cand)
+        outcomes.append(verdict.outcome)
+        return verdict
+
+    monkeypatch.setattr(planesieve.scan, "candidate_gate", spy)
+    rows = sieve_orders(2, 40, [group_spec("PSL", n=2, q=13)])
+    assert len(rows) == len(outcomes) == 39
+    assert outcomes.count("pass") == sum(row.survived for row in rows) == 3
+
+
 def test_candidate_survivors_frozen():
     spec = group_spec("PSL", n=2, q=13)
     rows = sieve_orders(2, 100, [spec])
