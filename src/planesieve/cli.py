@@ -12,24 +12,23 @@ Each row line is then one f-string holding the bytes
 success, 1 verdict failure, 2 usage error, 3 internal error, such as a
 group value past Python's int-to-str digit limit.  The argument parser
 is built on the first `main` call and reused by every later call in
-the process.
+the process.  Subcommands import their layers when they run, so
+importing `planesieve.cli` loads no computation module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, ledger
-from .catalog import catalog_records
-from .exactmath import Factorization, factorize
-from .groups import (GroupSpec, order, order_factorization, parabolic_index,
-                     parabolic_index_factorization, parse_group)
-from .scan import U_CAP, sieve_orders
+from . import __version__
+
+if TYPE_CHECKING:
+    from .exactmath import Factorization
+    from .groups import GroupSpec
 
 Q_CAP = 2**10
 RANK_CAP = 50
@@ -50,15 +49,19 @@ def _check_caps(spec: GroupSpec) -> GroupSpec:
 
 
 def _parse_candidates(text: str) -> list[GroupSpec]:
+    from .groups import parse_group
     return [_check_caps(parse_group(part.split()))
             for part in text.split(",") if part.strip()]
 
 
 def _emit(record: dict) -> None:
+    import json
     print(json.dumps(record, sort_keys=True))
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import ledger
+    from .plane import U_CAP
     if args.u_max is not None and not 1 <= args.u_max <= U_CAP:
         raise ValueError(f"--u-max must be in [1, {U_CAP}]")
     if args.q_max is not None and not 1 <= args.q_max <= Q_CAP:
@@ -84,6 +87,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import ledger
     res = ledger.replay(args.case_id, bound=args.bound)
     if args.format == "structured":
         _emit(ledger.report_record(res))
@@ -100,6 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    import json
+    from .scan import sieve_orders
     candidates = _parse_candidates(args.candidates) if args.candidates else None
     rows = sieve_orders(args.u_min, args.u_max, candidates)
     structured = args.format == "structured"
@@ -142,6 +148,7 @@ def _digits(value: int) -> str:
 # order and index format the value before anything is factored, so a value
 # past the int-to-str digit limit fails at once.
 def _cmd_order(args: argparse.Namespace) -> int:
+    from .groups import order, order_factorization, parse_group
     spec = _check_caps(parse_group(args.group))
     head = f"|{spec}| = {_digits(order(spec))} = "
     print(head + _fmt_factors(order_factorization(spec)))
@@ -149,6 +156,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    from .groups import parabolic_index, parabolic_index_factorization, parse_group
     spec = _check_caps(parse_group(args.group))
     index = parabolic_index(spec, args.parabolic)
     head = f"[{spec} : P{args.parabolic}] = {_digits(index)} = "
@@ -159,11 +167,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_factor(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
+    from .exactmath import factorize
     print(f"{args.n} = {_fmt_factors(factorize(args.n))}")
     return 0
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    from .catalog import catalog_records
     records = catalog_records()
     for rec in records:
         if args.format == "structured":

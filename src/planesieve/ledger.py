@@ -147,9 +147,9 @@ def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None
     matches; other cases run their full default domain.  Results come
     back in registry order regardless of the worker count.
     """
-    reg = _default_registry() if registry is None else registry
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    reg = _default_registry() if registry is None else registry
 
     def run(case: CaseCheck) -> CaseResult:
         bound = None

@@ -18,6 +18,9 @@ from math import gcd, isqrt
 
 from .exactmath import Factorization, factorize, phi3_factorizations
 
+# The largest u the sieve accepts, and the largest --u-max of verify-all.
+U_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class PlaneOrder:

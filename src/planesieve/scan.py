@@ -36,10 +36,8 @@ from math import gcd, lcm
 from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
 from .groups import GroupSpec, min_proper_index
-from .plane import (LjunggrenClass, PlaneOrder, admissible_index, kantor_cofactor_holds,
-                    ljunggren_classify, plane_orders)
-
-U_CAP = 10**6
+from .plane import (U_CAP, LjunggrenClass, PlaneOrder, admissible_index,
+                    kantor_cofactor_holds, ljunggren_classify, plane_orders)
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,33 @@ def test_factor_fuzz_exits_ok_or_usage(tokens):
         assert int(head) == int(token) == prod(p**e for p, e in powers)
 
 
+# A verify call: a registry id or a junk token (none asking argparse for
+# help), no bound or one around the accepted range, and either format.
+_CASE_TOKEN = st.one_of(st.sampled_from([case.id for case in REGISTRY]),
+                        st.text(max_size=6).filter(lambda t: not t.startswith(("-h", "--h"))))
+_BOUND_ARGS = st.one_of(st.just(()), st.integers(-5, 10**9).map(lambda b: ("--bound", str(b))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CASE_TOKEN, _BOUND_ARGS, st.sampled_from(("text", "structured")))
+@example("LJUNGGREN-SCAN", ("--bound", str(10**9)), "structured")
+def test_verify_fuzz_exits_with_a_verdict_or_usage(case_id, bound_args, fmt):
+    # a bound only tightens the registered default, so every call is
+    # bounded by the case's default domain
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["verify", case_id, *bound_args, "--format", fmt])
+        except SystemExit as exc:  # argparse refuses a token that looks like an option
+            code = exc.code
+    assert code in (0, 1, 2), (case_id, bound_args)
+    if code != 2:
+        if fmt == "structured":
+            assert json.loads(out.getvalue())["id"] == case_id
+        else:
+            assert out.getvalue().startswith(f"{case_id}: ")
+
+
 def test_order_and_index_grid_golden_digest(capsys):
     # byte-for-byte pin of `order` and `index --parabolic m` (m = 1..11,
     # value or error text) for every valid Lie-type spec with q <= 64 and
@@ -485,6 +512,45 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+# The planesieve modules each subcommand loads, besides cli itself.
+_GROUP_LAYERS = ("exactmath", "groups")
+_SCAN_LAYERS = ("catalog", "exactmath", "groups", "plane", "scan")
+_LEDGER_LAYERS = ("cases", "catalog", "exactmath", "groups", "ledger", "plane")
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    (["--version"], 0, ()),
+    (["factor", "105301"], 0, ("exactmath",)),
+    (["order", "E8", "7"], 0, _GROUP_LAYERS),
+    (["index", "PSL", "5", "2", "--parabolic", "1"], 0, _GROUP_LAYERS),
+    (["catalog"], 0, ("catalog", "exactmath", "groups")),
+    (["scan", "--u-min", "2", "--u-max", "200", "--candidates", "PSL 2 13"], 0, _SCAN_LAYERS),
+    (["verify", "ALT-BOUND", "--format", "structured"], 0, _LEDGER_LAYERS),
+    (["verify-all", "--u-max", "10"], 1, _LEDGER_LAYERS),
+    # a refused worker count fails before the case registry is imported
+    (["verify-all", "--jobs", "0"], 2, ("exactmath", "ledger", "plane")),
+], ids=["version", "factor", "order", "index", "catalog", "scan", "verify", "verify-all",
+        "verify-all-jobs-0"])
+def test_each_subcommand_imports_only_its_layers(argv, code, layers):
+    child = ("import contextlib, io, sys\n"
+             "from planesieve.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    try:\n"
+             "        code = main(sys.argv[1:])\n"
+             "    except SystemExit as exc:\n"
+             "        code = exc.code\n"
+             "print(code, 'concurrent.futures' in sys.modules)\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('planesieve.')))\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = proc.stdout.splitlines()
+    pool = argv[0].startswith("verify")
+    assert status == f"{code} {pool}"
+    assert loaded.split() == sorted(f"planesieve.{m}" for m in ("cli", *layers))
+    assert proc.stderr == ("error: jobs must be >= 1, got 0\n" if code == 2 else "")
 
 
 def test_shared_parser_carries_no_state_between_calls(capsys):
