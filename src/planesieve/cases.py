@@ -71,9 +71,9 @@ def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
 
 
 def _class_size(spec, label: str) -> int:
-    for entry in classes_for(spec):
-        if entry.label == label:
-            return involution_class_size(entry)
+    for t in classes_for(spec):
+        if t["label"] == label:
+            return involution_class_size(t, spec)
     raise LookupError(f"no catalog class {label!r} covers {spec}")
 
 
@@ -346,7 +346,7 @@ def _psl2_pgl(rec: Record, _bound: int | None) -> None:
 def _psl2_subfield(rec: Record, q_max: int) -> None:
     checked_high = checked_low = 0
     for r, _ in _prime_powers(isqrt(q_max) + 1):
-        if r % 2 == 0 or r < 3:
+        if r % 2 == 0:
             continue
         a = 3
         while r**a <= q_max:

@@ -15,7 +15,6 @@ inequalities must pick the matching direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Any
 
@@ -390,21 +389,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class InvolutionClass:
-    """A catalog template bound to one concrete group."""
-
-    group: GroupSpec
-    label: str
-
-    @property
-    def template(self) -> dict[str, Any]:
-        return _TEMPLATE_BY_LABEL[self.label]
-
-
-_TEMPLATE_BY_LABEL = {t["label"]: t for t in CLASS_TEMPLATES}
-
-
 def _matches(valid: dict[str, Any], spec: GroupSpec) -> bool:
     n, q = spec.n, spec.q
     if (eps := valid.get("eps")) is not None and spec.eps != eps:
@@ -424,9 +408,9 @@ def _matches(valid: dict[str, Any], spec: GroupSpec) -> bool:
     return True
 
 
-def classes_for(spec: GroupSpec) -> tuple[InvolutionClass, ...]:
-    """All catalog classes whose validity window covers spec."""
-    return tuple(InvolutionClass(group=spec, label=t["label"]) for t in CLASS_TEMPLATES
+def classes_for(spec: GroupSpec) -> tuple[dict[str, Any], ...]:
+    """The templates whose validity window covers spec, in catalog order."""
+    return tuple(t for t in CLASS_TEMPLATES
                  if t["family"] == spec.family and _matches(t["valid"], spec))
 
 
@@ -466,26 +450,24 @@ def _eval_factor(factor: dict[str, Any], n: int | None, q: int, sign: int | None
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def involution_class_size(entry: InvolutionClass) -> int:
-    """Exact evaluation of the entry's formula at its bound group."""
-    t = entry.template
-    spec = entry.group
-    if not (t["family"] == spec.family and _matches(t["valid"], spec)):
-        raise ValueError(f"{entry.label} does not cover {spec}")
-    sign = t["sign"]
+def involution_class_size(template: dict[str, Any], spec: GroupSpec) -> int:
+    """Exact evaluation of template's formula at spec."""
+    if not (template["family"] == spec.family and _matches(template["valid"], spec)):
+        raise ValueError(f"{template['label']} does not cover {spec}")
+    sign = template["sign"]
     if sign is None and spec.eps in ("+", "-"):
         sign = 1 if spec.eps == "+" else -1
-    num, den = t["const"]
+    num, den = template["const"]
     value = num
-    for factor in t["factors"]:
+    for factor in template["factors"]:
         value *= _eval_factor(factor, spec.n, spec.q, sign)
-    for factor in t.get("divide", ()):
+    for factor in template.get("divide", ()):
         d = _eval_factor(factor, spec.n, spec.q, sign)
         if value % d:
-            raise ValueError(f"{entry.label}: denominator {d} does not divide {value}")
+            raise ValueError(f"{template['label']}: denominator {d} does not divide {value}")
         value //= d
     if value % den:
-        raise ValueError(f"{entry.label}: constant denominator {den} does not divide")
+        raise ValueError(f"{template['label']}: constant denominator {den} does not divide")
     return value // den
 
 

@@ -98,15 +98,14 @@ def ljunggren_classify(plus: Factorization) -> LjunggrenClass:
 
 
 def quadratic_ratio_root(t: int) -> int | None:
-    """The integer u >= 2 with u**2 - u + 1 == t, if one exists."""
+    """The integer u >= 2 with u**2 - u + 1 == t, if one exists.  For
+    t >= 3 with 4t - 3 = s**2, s is odd and at least 3, so u = (1 + s)/2
+    is an integer of at least 2, and u**2 - u + 1 = (s**2 + 3)/4 = t."""
     if t < 3:
         return None
     disc = 4 * t - 3
     s = isqrt(disc)
-    if s * s != disc:
-        return None
-    u = (1 + s) // 2
-    return u if u >= 2 and u * u - u + 1 == t else None
+    return (1 + s) // 2 if s * s == disc else None
 
 
 def kantor_cofactor_holds(prime_power: int, m: int, u: int) -> bool:

@@ -81,7 +81,7 @@ def prepare_candidate(spec: GroupSpec) -> Candidate:
     """Evaluate spec's class sizes, their lcm, its index floor and its
     verdicts, once per scan."""
     label = f"candidate-{spec}"
-    sizes = tuple(involution_class_size(entry) for entry in classes_for(spec))
+    sizes = tuple(involution_class_size(t, spec) for t in classes_for(spec))
     if sizes:
         floor = min_proper_index(spec)
         verdicts = (GateVerdict(entry=(label, False), outcome="fail"),

@@ -128,6 +128,82 @@ def brute_psl_involution_classes(n, p):
     return dict(classes)
 
 
+def brute_psp43_involution_classes():
+    """(|Sp(4,3)|, {g^2: count}) over the involutions of PSp(4,3) =
+    Sp(4,3)/{+-I}, keyed by whether a preimage g squares to I (+1) or to
+    -I (-1).  Sp(4,3) is the closure of the symplectic transvections
+    x -> x + B(x,v)v, for the form B(x,y) = x0y2 + x1y3 - x2y0 - x3y1 and
+    v along each basis vector and e0 + e1.  Rows and matrices are
+    int-encoded as in brute_psl_involution_classes; an element is its
+    tuple of row codes, so right multiplication by a transvection maps
+    each row through one table.  Each involution of PSp(4,3) has two
+    preimages g and -g."""
+    p, n = 3, 4
+    digits = [tuple(r // p**j % p for j in range(n)) for r in range(p**n)]
+    code = {d: r for r, d in enumerate(digits)}
+    add = [[code[tuple((a + b) % p for a, b in zip(x, y))] for y in digits] for x in digits]
+    scale = [[code[tuple(c * a % p for a in x)] for x in digits] for c in range(p)]
+
+    def form(x, y):
+        return x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]
+
+    vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(1, 1, 0, 0)]
+    transvections = [[code[tuple((a + form(x, v) * b) % p for a, b in zip(x, v))]
+                      for x in digits] for v in vectors]
+    identity = tuple(p**i for i in range(n))
+    minus_identity = tuple(scale[p - 1][row] for row in identity)
+    group, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for t in transvections:
+                h = tuple(t[row] for row in g)
+                if h not in group:
+                    group.add(h)
+                    grown.append(h)
+        frontier = grown
+    signs = {identity: 1, minus_identity: -1}
+    squares = Counter()
+    for g in group - set(signs):
+        square = []
+        for row in g:
+            acc = 0
+            for c, other in zip(digits[row], g):
+                acc = add[acc][scale[c][other]]
+            square.append(acc)
+        if (sign := signs.get(tuple(square))) is not None:
+            squares[sign] += 1
+    return len(group), {sign: count // 2 for sign, count in squares.items()}
+
+
+def phi3_smaller_root_factorizations(x_max):
+    """[(x**2 + x + 1, ((prime, exponent), ...))] for x = 1..x_max, by the
+    smaller-root lemma: after 3 and every prime found at a smaller x are
+    divided out of Phi_3(x), what is left is 1 or one new prime p, whose
+    smaller root mod p is x.  A prime p != 3 dividing Phi_3(x) has the two
+    roots r and p - 1 - r; if either were below x, p would have been found
+    there, so p >= 2x + 1, and two such primes would exceed Phi_3(x).  A
+    new p is divided out forward from both roots, so no prime is ever
+    tested, only read off."""
+    rest = [x * x + x + 1 for x in range(x_max + 1)]
+    found = [{} for _ in range(x_max + 1)]
+
+    def strike(p, start):
+        for y in range(start, x_max + 1, p):
+            e = 0
+            while rest[y] % p == 0:
+                rest[y], e = rest[y] // p, e + 1
+            found[y][p] = e
+
+    strike(3, 1)
+    for x in range(1, x_max + 1):
+        if (p := rest[x]) > 1:
+            assert p >= 2 * x + 1, (x, p)
+            strike(p, x)
+            strike(p, p - 1 - x)
+    return [(x * x + x + 1, tuple(sorted(found[x].items()))) for x in range(1, x_max + 1)]
+
+
 def brute_subspace_count(n, m, q):
     """Number of m-dimensional subspaces of GF(q)^n, prime q only,
     by enumerating spans as frozensets of vectors."""

@@ -5,16 +5,17 @@ import json
 
 import pytest
 
-from _oracles import brute_psl2_involutions, brute_psl_involution_classes
+from _oracles import (brute_psl2_involutions, brute_psl_involution_classes,
+                      brute_psp43_involution_classes)
 from planesieve.catalog import (CLASS_TEMPLATES, catalog_records, classes_for,
                                 involution_class_size)
 from planesieve.groups import group_spec, order
 
 
 def _size(spec, label):
-    for entry in classes_for(spec):
-        if entry.label == label:
-            return involution_class_size(entry)
+    for t in classes_for(spec):
+        if t["label"] == label:
+            return involution_class_size(t, spec)
     raise AssertionError(f"{label} does not cover {spec}")
 
 
@@ -75,13 +76,32 @@ def test_class_sizes_positive_and_dividing():
     checked = 0
     for fam, kwargs in GRID:
         spec = group_spec(fam, **kwargs)
-        for entry in classes_for(spec):
-            size = involution_class_size(entry)
+        for t in classes_for(spec):
+            size = involution_class_size(t, spec)
             assert size > 0
-            if entry.template["exact"]:
-                assert order(spec) % size == 0, (str(spec), entry.label)
+            if t["exact"]:
+                assert order(spec) % size == 0, (str(spec), t["label"])
             checked += 1
     assert checked >= 18
+
+
+def test_classes_for_hands_out_catalog_templates_in_order():
+    ids = [id(t) for t in CLASS_TEMPLATES]
+    for fam, kwargs in GRID:
+        positions = [ids.index(id(t)) for t in classes_for(group_spec(fam, **kwargs))]
+        assert positions and positions == sorted(set(positions)), (fam, kwargs)
+
+
+@pytest.mark.parametrize("label, spec", [
+    ("psl2-odd-plus", group_spec("PSL", n=2, q=7)),
+    ("g2", group_spec("PSL", n=3, q=7)),
+    ("psp-central", group_spec("PSp", n=4, q=7)),
+])
+def test_class_size_rejects_a_template_that_does_not_cover(label, spec):
+    template = next(t for t in CLASS_TEMPLATES if t["label"] == label)
+    with pytest.raises(ValueError) as info:
+        involution_class_size(template, spec)
+    assert str(info.value) == f"{label} does not cover {spec}"
 
 
 def test_uncovered_families_yield_no_classes():
@@ -96,15 +116,15 @@ def test_eps_validity_distinguishes_forms():
     plus = _size(group_spec("E6", q=7, eps="+"), "e6")
     assert minus != plus
     odd9 = classes_for(group_spec("POmega", n=9, q=7, eps="o"))
-    assert {e.label for e in odd9} >= {"omega-odd-plus", "omega-odd-minus"}
+    assert {t["label"] for t in odd9} >= {"omega-odd-plus", "omega-odd-minus"}
 
 
 def test_psl2_parity_split_by_q_mod_4():
-    assert [e.label for e in classes_for(group_spec("PSL", n=2, q=13))] \
+    assert [t["label"] for t in classes_for(group_spec("PSL", n=2, q=13))] \
         == ["psl2-odd-plus"]
-    assert [e.label for e in classes_for(group_spec("PSL", n=2, q=7))] \
+    assert [t["label"] for t in classes_for(group_spec("PSL", n=2, q=7))] \
         == ["psl2-odd-minus"]
-    assert [e.label for e in classes_for(group_spec("PSL", n=2, q=8))] \
+    assert [t["label"] for t in classes_for(group_spec("PSL", n=2, q=8))] \
         == ["psl2-even"]
 
 
@@ -115,9 +135,10 @@ def test_psl2_parity_split_by_q_mod_4():
 def test_psl2_involutions_match_brute_force(q, label, count):
     # PSL(2,q) has one class of involutions, so the catalog's one class
     # must hold every involution the enumeration finds
-    entries = classes_for(group_spec("PSL", n=2, q=q))
-    assert [e.label for e in entries] == [label]
-    assert brute_psl2_involutions(q) == involution_class_size(entries[0]) == count
+    spec = group_spec("PSL", n=2, q=q)
+    entries = classes_for(spec)
+    assert [t["label"] for t in entries] == [label]
+    assert brute_psl2_involutions(q) == involution_class_size(entries[0], spec) == count
 
 
 # Each template's anchor names its involution by its fixed space: a line
@@ -130,13 +151,29 @@ def test_psl2_involutions_match_brute_force(q, label, count):
     (4, 2, "psl-transvection", 3, {2: 210}),
 ])
 def test_psl_involution_classes_match_brute_force(n, p, label, fixed_dim, omitted):
-    entries = classes_for(group_spec("PSL", n=n, q=p))
-    assert [e.label for e in entries] == [label]
+    spec = group_spec("PSL", n=n, q=p)
+    entries = classes_for(spec)
+    assert [t["label"] for t in entries] == [label]
     found = brute_psl_involution_classes(n, p)
-    listed = {fixed_dim: involution_class_size(entries[0])}
+    listed = {fixed_dim: involution_class_size(entries[0], spec)}
     matched = {dim: count for dim, count in found.items() if listed.get(dim) == count}
     assert matched == listed
     assert {dim: count for dim, count in found.items() if dim not in listed} == omitted
+
+
+# PSp(4,3) = U4(2) has two involution classes: 45 lifting to g^2 = I
+# (ATLAS 2A) and 270 lifting to g^2 = -I (2B).  The catalog leaves out
+# the 270.
+def test_psp43_involution_classes_match_brute_force():
+    spec = group_spec("PSp", n=4, q=3)
+    entries = classes_for(spec)
+    assert [t["label"] for t in entries] == ["psp4"]
+    sp_order, found = brute_psp43_involution_classes()
+    assert sp_order == 2 * order(spec) == 51840
+    listed = {1: involution_class_size(entries[0], spec)}
+    matched = {sign: count for sign, count in found.items() if listed.get(sign) == count}
+    assert matched == listed
+    assert {sign: count for sign, count in found.items() if sign not in listed} == {-1: 270}
 
 
 def test_catalog_records_serializable():

@@ -11,7 +11,7 @@ from planesieve.exactmath import (Factorization, cyclotomic_pieces, factor_cyclo
                                   factorize, gaussian_binomial, geom_sum, is_prime, is_prime_power,
                                   nth_root, phi3_factorizations, small_primes)
 
-from _oracles import brute_subspace_count, cyclotomic_value
+from _oracles import brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations
 
 
 def _reference_sieve(limit):
@@ -201,6 +201,12 @@ def test_phi3_sieve_matches_sympy():
     for lo, hi in windows:
         for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
             assert f.factors == tuple(sorted(sympy.factorint(_phi3(x)).items())), x
+
+
+def test_phi3_sieve_matches_smaller_root_oracle():
+    # the oracle shares no code with the sieve and tests no prime
+    assert [(f.value, f.factors) for f in phi3_factorizations(1, 20_000)] == \
+        phi3_smaller_root_factorizations(20_000)
 
 
 def test_phi3_sieve_rejects_bad_windows():

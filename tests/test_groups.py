@@ -59,7 +59,7 @@ def test_transvection_count_matches_brute_force():
 
     from planesieve.catalog import classes_for, involution_class_size
     spec = group_spec("PSL", n=3, q=2)
-    sizes = {e.label: involution_class_size(e) for e in classes_for(spec)}
+    sizes = {t["label"]: involution_class_size(t, spec) for t in classes_for(spec)}
     assert sizes["psl3-even"] == 21
 
 

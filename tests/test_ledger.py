@@ -342,7 +342,7 @@ def test_u_parab_mod_every_bound_golden_digest():
      "746f85bdd4b81b8d5a51c12f7aa409b508cffe48082233ba98ae649662ef9b0f"),
     ("geom_sum", lambda q, k, step=1: 1,
      "a82214bef205b33162e08284ad447f69c479b43eb546d4b8faa17362a151bb73"),
-    ("involution_class_size", lambda entry: 1,
+    ("involution_class_size", lambda template, spec: 1,
      "779febf7e361bc625dade036284aec6753b3c66791e42c378accff402af4300a"),
 ], ids=["admissible_index", "quadratic_ratio_root", "fixed_count_bound",
         "is_prime_power", "geom_sum", "involution_class_size"])

@@ -124,6 +124,14 @@ def test_quadratic_ratio_root_round_trip():
         assert quadratic_ratio_root(u * u - u + 1) == u
 
 
+def test_quadratic_ratio_root_exhaustive():
+    roots, u = {}, 2
+    while u * u - u + 1 <= 10**5:
+        roots[u * u - u + 1] = u
+        u += 1
+    assert all(quadratic_ratio_root(t) == roots.get(t) for t in range(10**5 + 1))
+
+
 def test_quadratic_ratio_root_below_range_is_none():
     assert quadratic_ratio_root(1) is None
     assert quadratic_ratio_root(2) is None

@@ -76,7 +76,7 @@ def test_candidate_gate_uncovered_family():
 # neither size, and v clears the floor, so the size test alone decides.
 _GATE_SPECS = tuple(parse_group(text.split()) for text in
                     WHOLE_CATALOG.split(",") + ["PSL 2 13", "G2 7", "PSU 5 7"])
-_GATE_DATA = tuple((spec, [involution_class_size(entry) for entry in classes_for(spec)],
+_GATE_DATA = tuple((spec, [involution_class_size(t, spec) for t in classes_for(spec)],
                     min_proper_index(spec)) for spec in _GATE_SPECS)
 
 
