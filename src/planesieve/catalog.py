@@ -2,11 +2,13 @@
 
 Each catalog entry is a template: a family, a validity window, and a
 class-size formula stored as coefficient/exponent records so the whole
-catalog is serializable and auditable.  Formulas evaluate with exact
-integer arithmetic only.  Exponents are linear forms [a, b] meaning
-a*n + b, or [a, b, d] meaning (a*n + b)/d where the division must be
-exact; a coefficient "e" stands for the form sign (+1 or -1), taken
-from the entry itself or from the group's eps parameter.
+catalog is serializable and auditable.  One cover test reads the window
+keys eps, n_exact, n_min, n_parity, q_parity and q_mod4, and raises on
+any other.  Exponents are linear forms [a, b] meaning a*n + b, or
+[a, b, d] meaning (a*n + b)/d, exact on every n the window admits; a
+coefficient "e" is the form sign (+1 or -1), from the entry itself or
+the group's eps.  A formula is const[0] times the factors over const[1]
+times the divide factors, one exact integer division.
 
 Entries flagged exact give the class size n_g itself; entries flagged
 as divisor bounds give a stated multiple of n_g, and downstream
@@ -15,7 +17,7 @@ inequalities must pick the matching direction.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Any
 
 from .exactmath import geom_sum
@@ -389,41 +391,40 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
 )
 
 
-def _matches(valid: dict[str, Any], spec: GroupSpec) -> bool:
-    n, q = spec.n, spec.q
-    if (eps := valid.get("eps")) is not None and spec.eps != eps:
+_PARITY = {"even": 0, "odd": 1}
+_SIGNS = {"+": 1, "-": -1}
+
+# One test per validity key: whether spec lies inside that key's window.
+_WINDOW = {
+    "eps": lambda spec, want: spec.eps == want,
+    "n_exact": lambda spec, want: spec.n == want,
+    "n_min": lambda spec, low: spec.n >= low,
+    "n_parity": lambda spec, par: spec.n % 2 == _PARITY[par],
+    "q_parity": lambda spec, par: spec.q % 2 == _PARITY[par],
+    "q_mod4": lambda spec, rest: spec.q % 4 == rest,
+}
+
+
+def _covers(template: dict[str, Any], spec: GroupSpec) -> bool:
+    if template["family"] != spec.family:
         return False
-    if (want := valid.get("n_exact")) is not None and n != want:
-        return False
-    if (low := valid.get("n_min")) is not None and (n is None or n < low):
-        return False
-    if (par := valid.get("n_parity")) is not None:
-        if n is None or n % 2 != (0 if par == "even" else 1):
+    for key, want in template["valid"].items():
+        test = _WINDOW.get(key)
+        if test is None:
+            raise ValueError(f"{template['label']}: unknown validity key {key!r}")
+        if not test(spec, want):
             return False
-    if (qpar := valid.get("q_parity")) is not None:
-        if q is None or q % 2 != (0 if qpar == "even" else 1):
-            return False
-    if (qm := valid.get("q_mod4")) is not None and (q is None or q % 4 != qm):
-        return False
     return True
 
 
 def classes_for(spec: GroupSpec) -> tuple[dict[str, Any], ...]:
     """The templates whose validity window covers spec, in catalog order."""
-    return tuple(t for t in CLASS_TEMPLATES
-                 if t["family"] == spec.family and _matches(t["valid"], spec))
+    return tuple(t for t in CLASS_TEMPLATES if _covers(t, spec))
 
 
 def _linear(form: list[int], n: int | None) -> int:
-    a, b = form[0], form[1]
-    if a and n is None:
-        raise ValueError("formula needs a rank parameter")
-    value = a * (n or 0) + b
-    if len(form) == 3:
-        if value % form[2]:
-            raise ValueError(f"linear form {form} is not exact at n={n}")
-        value //= form[2]
-    return value
+    value = form[0] * (n or 0) + form[1]
+    return value // form[2] if len(form) == 3 else value
 
 
 def _eval_factor(factor: dict[str, Any], n: int | None, q: int, sign: int | None) -> int:
@@ -431,44 +432,27 @@ def _eval_factor(factor: dict[str, Any], n: int | None, q: int, sign: int | None
     if kind == "qpow":
         return q ** _linear(factor["exp"], n)
     if kind == "poly":
-        total = 0
-        for coeff, exp in factor["terms"]:
-            if coeff == "e":
-                if sign is None:
-                    raise ValueError("formula uses a form sign the group lacks")
-                coeff = sign
-            total += coeff * q ** _linear(exp, n)
-        return total
+        return sum((sign if coeff == "e" else coeff) * q ** _linear(exp, n)
+                   for coeff, exp in factor["terms"])
     if kind == "geom":
-        top = _linear(factor["top"], n)
         step = factor["step"]
-        if top % step:
-            raise ValueError(f"geometric factor top {top} not a multiple of step {step}")
-        return geom_sum(q, top // step, step)
-    if kind == "gcd":
-        return gcd(factor["k"], q + factor["shift"])
-    raise ValueError(f"unknown factor kind {kind!r}")
+        return geom_sum(q, _linear(factor["top"], n) // step, step)
+    return gcd(factor["k"], q + factor["shift"])  # kind "gcd"
 
 
 def involution_class_size(template: dict[str, Any], spec: GroupSpec) -> int:
     """Exact evaluation of template's formula at spec."""
-    if not (template["family"] == spec.family and _matches(template["valid"], spec)):
+    if not _covers(template, spec):
         raise ValueError(f"{template['label']} does not cover {spec}")
-    sign = template["sign"]
-    if sign is None and spec.eps in ("+", "-"):
-        sign = 1 if spec.eps == "+" else -1
+    n, q = spec.n, spec.q
+    sign = template["sign"] or _SIGNS.get(spec.eps)
     num, den = template["const"]
-    value = num
-    for factor in template["factors"]:
-        value *= _eval_factor(factor, spec.n, spec.q, sign)
-    for factor in template.get("divide", ()):
-        d = _eval_factor(factor, spec.n, spec.q, sign)
-        if value % d:
-            raise ValueError(f"{template['label']}: denominator {d} does not divide {value}")
-        value //= d
-    if value % den:
-        raise ValueError(f"{template['label']}: constant denominator {den} does not divide")
-    return value // den
+    num *= prod(_eval_factor(factor, n, q, sign) for factor in template["factors"])
+    den *= prod(_eval_factor(factor, n, q, sign) for factor in template.get("divide", ()))
+    size, rest = divmod(num, den)
+    if rest:
+        raise ValueError(f"{template['label']}: denominator {den} does not divide {num}")
+    return size
 
 
 def catalog_records() -> list[dict[str, Any]]:

@@ -37,6 +37,7 @@ _MR_TIERS = tuple((psi, _MR_PRIMES[:k]) for psi, k in (
     (318_665_857_834_031_151_167_461, 12),
     (3_317_044_064_679_887_385_961_981, 13),
 ))
+_TRIAL_PRIMES = _MR_PRIMES[:12]
 
 
 def _sieve(limit: int) -> list[int]:
@@ -64,7 +65,7 @@ def is_prime(n: int) -> bool:
     known composite passes them)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1

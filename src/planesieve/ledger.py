@@ -118,7 +118,10 @@ def get_case(case_id: str, registry: Sequence[CaseCheck] | None = None) -> CaseC
 def replay(case_id: str, bound: int | None = None,
            registry: Sequence[CaseCheck] | None = None) -> CaseResult:
     """Run one case.  A bound may only tighten the registered default."""
-    case = get_case(case_id, registry)
+    return _run(get_case(case_id, registry), bound)
+
+
+def _run(case: CaseCheck, bound: int | None) -> CaseResult:
     if bound is not None:
         if case.default_bound is None:
             raise ValueError(f"case {case.id} has a fixed domain and takes no bound")
@@ -150,14 +153,10 @@ def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     reg = _default_registry() if registry is None else registry
+    caps = {"u": u_max, "q": q_max}
 
     def run(case: CaseCheck) -> CaseResult:
-        bound = None
-        if case.bound_kind == "u":
-            bound = u_max
-        elif case.bound_kind == "q":
-            bound = q_max
-        return replay(case.id, bound=bound, registry=reg)
+        return _run(case, caps.get(case.bound_kind))
 
     if jobs == 1:
         return [run(case) for case in reg]

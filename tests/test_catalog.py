@@ -11,6 +11,8 @@ from planesieve.catalog import (CLASS_TEMPLATES, catalog_records, classes_for,
                                 involution_class_size)
 from planesieve.groups import group_spec, order
 
+from test_groups import _valid_specs
+
 
 def _size(spec, label):
     for t in classes_for(spec):
@@ -83,6 +85,59 @@ def test_class_sizes_positive_and_dividing():
                 assert order(spec) % size == 0, (str(spec), t["label"])
             checked += 1
     assert checked >= 18
+
+
+def _forms_and_coefficients(template):
+    """Each exponent form [a, b] or [a, b, d] of template, a geometric
+    factor's top as [a, b, step], and each poly coefficient."""
+    forms, coeffs = [], []
+    for factor in (*template["factors"], *template.get("divide", ())):
+        kind = factor["kind"]
+        assert kind in ("qpow", "poly", "geom", "gcd"), kind
+        if kind == "qpow":
+            forms.append(factor["exp"])
+        elif kind == "geom":
+            forms.append([*factor["top"], factor["step"]])
+        elif kind == "poly":
+            coeffs += [coeff for coeff, _ in factor["terms"]]
+            forms += [exp for _, exp in factor["terms"]]
+    return forms, coeffs
+
+
+def test_every_template_evaluates_across_its_window():
+    # every Lie-type family, n <= 20, q <= 128 and each eps reaches every
+    # template; at each covering spec a form in n has a rank, each form
+    # division and geometric step is exact, a sign coefficient has a sign,
+    # and the size is a positive integer
+    reached = set()
+    for spec in _valid_specs(128, 20):
+        for t in classes_for(spec):
+            forms, coeffs = _forms_and_coefficients(t)
+            for a, b, *d in forms:
+                assert a == 0 or spec.n is not None, (str(spec), t["label"])
+                assert (a * (spec.n or 0) + b) % (d[0] if d else 1) == 0, (str(spec), t["label"])
+            assert "e" not in coeffs or t["sign"] or spec.eps in ("+", "-"), t["label"]
+            size = involution_class_size(t, spec)
+            assert type(size) is int and size > 0, (str(spec), t["label"])
+            reached.add(t["label"])
+    assert reached == {t["label"] for t in CLASS_TEMPLATES}
+    assert len(reached) == 22
+
+
+def test_cover_test_rejects_an_unknown_validity_key(monkeypatch):
+    # a misspelt key must not widen the window: psl2-odd-plus with q_mod4
+    # misspelt would otherwise cover PSL(2,7)
+    template = next(t for t in CLASS_TEMPLATES if t["label"] == "psl2-odd-plus")
+    misspelt = dict(template, valid={"n_exact": 2, "q_parity": "odd", "q_mod_4": 1})
+    spec = group_spec("PSL", n=2, q=7)
+    message = "psl2-odd-plus: unknown validity key 'q_mod_4'"
+    with pytest.raises(ValueError) as info:
+        involution_class_size(misspelt, spec)
+    assert str(info.value) == message
+    monkeypatch.setattr("planesieve.catalog.CLASS_TEMPLATES", (misspelt,))
+    with pytest.raises(ValueError) as info:
+        classes_for(spec)
+    assert str(info.value) == message
 
 
 def test_classes_for_hands_out_catalog_templates_in_order():

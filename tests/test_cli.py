@@ -47,6 +47,7 @@ def test_factor_command(capsys):
     code, out, _ = _run(capsys, "factor", "273")
     assert code == 0
     assert "273 = 3 * 7 * 13" in out
+    assert _run(capsys, "factor", "1") == (0, "1 = 1\n", "")
 
 
 def test_factor_splits_the_twelve_base_pseudoprime(capsys):
@@ -158,6 +159,9 @@ def test_verify_all_rejects_oversized_override(capsys):
     code, _, err = _run(capsys, "verify-all", "--u-max", str(10**7))
     assert code == 2
     assert "--u-max" in err
+    for q_max in ("0", "1025"):
+        assert _run(capsys, "verify-all", "--q-max", q_max) == (
+            2, "", "error: --q-max must be in [1, 1024]\n")
 
 
 def test_scan_text(capsys):
@@ -589,6 +593,20 @@ def _src_env():
 def _cli_process(argv):
     return subprocess.run([sys.executable, "-m", "planesieve.cli", *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=30)
+
+
+def test_scan_into_a_closed_pipe_exits_quietly():
+    # about 2.9 MB of rows, far past the pipe buffer, so the writer meets
+    # the closed pipe: main's BrokenPipeError branch exits 0, and the
+    # interpreter's last flush finds nothing to complain about
+    proc = subprocess.Popen([sys.executable, "-m", "planesieve.cli", "scan", "--u-min", "2",
+                             "--u-max", "20000"], env=_src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"u=2 v=21=3 * 7 ")
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_oversized_group_value_fails_in_bounded_time():

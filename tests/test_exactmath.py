@@ -222,9 +222,25 @@ def test_geom_sum_matches_closed_form():
             assert geom_sum(q, k, 2) == (q ** (2 * (k + 1)) - 1) // (q**2 - 1)
 
 
-def test_geom_sum_rejects_tiny_base():
+def test_geom_sum_rejects_bad_arguments():
     with pytest.raises(ValueError):
         geom_sum(1, 5)
+    for args, message in (((2, -1), "got k=-1, step=1"), ((2, 1, 0), "got k=1, step=0")):
+        with pytest.raises(ValueError) as info:
+            geom_sum(*args)
+        assert str(info.value) == f"geom_sum expects k >= 0 and step >= 1, {message}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: factorize(-1), "factorize expects n >= 0, got -1"),
+    (lambda: is_prime_power(1), "is_prime_power expects n >= 2, got 1"),
+    (lambda: nth_root(-1, 2), "nth_root expects n >= 0, k >= 1"),
+    (lambda: nth_root(4, 0), "nth_root expects n >= 0, k >= 1"),
+], ids=["factorize", "is_prime_power", "nth_root-n", "nth_root-k"])
+def test_out_of_domain_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_gaussian_binomial_matches_subspace_enumeration():
@@ -250,6 +266,9 @@ def test_gaussian_binomial_edges():
     assert gaussian_binomial(5, 1, 7) == geom_sum(7, 4)
     with pytest.raises(ValueError):
         gaussian_binomial(2, 3, 2)
+    with pytest.raises(ValueError) as info:
+        gaussian_binomial(3, 1, 1)
+    assert str(info.value) == "gaussian_binomial expects q >= 2, got 1"
 
 
 _CYCLOTOMIC_BASES = (2, 3, 7, 1024)

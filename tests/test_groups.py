@@ -254,6 +254,15 @@ def test_group_spec_validation():
         group_spec("2B2", q=4)                 # odd power of 2 required
     with pytest.raises(ValueError):
         group_spec("SPOR", name="M13")
+    for family, kwargs, message in (
+        ("A", {"n": 4}, "alternating degree must be >= 5, got 4"),
+        ("PSL", {"n": 3}, "PSL requires a field size"),
+        ("POmega", {"n": 8, "q": 3, "eps": "x"}, "POmega sign must be one of + - o, got 'x'"),
+        ("XYZ", {"q": 4}, "unknown family 'XYZ'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            group_spec(family, **kwargs)
+        assert str(info.value) == message
 
 
 def test_parse_group_errors():

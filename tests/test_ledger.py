@@ -240,6 +240,19 @@ def test_verify_all_bound_routing():
     assert by_id["LJUNGGREN-SCAN"].verdict is Verdict.ELIMINATED
 
 
+def test_verify_all_runs_each_case_object_it_iterates(monkeypatch):
+    # two cases under one id: each runs its own check, and no case is
+    # looked up again by id
+    ran = []
+    reg = tuple(CaseCheck(id="TOY-DUP", section="s", anchor="a", parameters="p",
+                          check=lambda rec, _bound, tag=tag: ran.append(tag))
+                for tag in (1, 2))
+    monkeypatch.setattr(ledger, "get_case", None)
+    results = ledger.verify_all(registry=reg)
+    assert ran == [1, 2]
+    assert all(res.case is case for res, case in zip(results, reg, strict=True))
+
+
 def test_verify_all_rejects_bad_jobs():
     with pytest.raises(ValueError):
         ledger.verify_all(jobs=0)

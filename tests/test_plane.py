@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 import planesieve.exactmath
-from planesieve.exactmath import factorize, is_prime_power, phi3_factorizations
+from planesieve.exactmath import (Factorization, factorize, is_prime_power,
+                                  phi3_factorizations)
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
                               ljunggren_classify, plane_order, plane_orders,
@@ -86,6 +87,9 @@ def test_admissible_index(n, expected):
 def test_admissible_index_rejects_nonpositive():
     with pytest.raises(ValueError):
         admissible_index(0)
+    with pytest.raises(ValueError) as info:
+        admissible_index(Factorization(0, ()))
+    assert str(info.value) == "admissible_index expects n >= 1, got 0"
 
 
 def test_ljunggren_classify_landmarks():
@@ -173,6 +177,12 @@ def test_involution_counts_chain():
 def test_involution_counts_alternate_divisor():
     counts = involution_counts(91, 13)
     assert (counts.ratio, counts.u, counts.d_g, counts.v) == (7, 3, 13, 91)
+
+
+def test_involution_counts_rejects_nonpositive():
+    with pytest.raises(ValueError) as info:
+        involution_counts(0, 1)
+    assert str(info.value) == "involution_counts expects positive counts, got (0, 1)"
 
 
 def test_involution_counts_absences():
