@@ -23,7 +23,8 @@ from typing import Callable
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
-                        is_prime_power, nth_root, phi3_factorizations, small_primes)
+                        is_prime_power, nth_root, phi3_factorizations, small_primes,
+                        trial_divide)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck, CheckFn, Record
 from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
@@ -43,25 +44,17 @@ def _prime_powers(limit: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _one_mod_three_only(n: int, strip: list[int]) -> bool | None:
+def _one_mod_three_only(n: int) -> bool | None:
     """Whether every prime divisor of n other than 3 is 1 mod 3.
 
     True/False when decided; None when an unfactored cofactor above the
     desk-scale cap blocks a positive answer.
     """
-    while n % 3 == 0:
-        n //= 3
-    for p in strip:
-        if p * p > n:
-            break
-        while n % p == 0:
-            if p % 3 != 1:
-                return False
-            n //= p
-    if n == 1:
-        return True
-    if n % 3 == 2:
+    small, n = trial_divide(n)
+    if n % 3 == 2 or any(p % 3 == 2 for p in small):
         return False
+    if n in (1, 3):  # trial_divide leaves n = 3 whole, below its first stop
+        return True
     pp = is_prime_power(n)
     if pp is not None:
         return pp[0] % 3 == 1
@@ -439,7 +432,6 @@ def _unitary_first_index(a: int, n: int) -> int:
        parameters="3 <= n <= 50, a in {1, 3, 5, 7, 9}, cyclotomic pieces "
                   "factored up to 10^18", default_bound=50, bound_kind="n")
 def _u_parab_mod(rec: Record, n_max: int) -> None:
-    strip = small_primes(10_000)
     passes, undecided = [], []
     fail_count = 0
 
@@ -469,7 +461,7 @@ def _u_parab_mod(rec: Record, n_max: int) -> None:
                 continue
             blocked = False
             for x in values:
-                piece = _one_mod_three_only(x, strip)
+                piece = _one_mod_three_only(x)
                 if piece is False:
                     fail_count += 1
                     break

@@ -2,10 +2,11 @@
 x**2 + x + 1 over a range of x, prime powers, geometric sums, and the
 cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1.
 
-Everything here is deterministic and exact.  No floats anywhere: the
-comparisons done elsewhere in the package rely on these primitives never
-rounding, so factorization is trial division plus Brent's cycle-finding
-variant of Pollard rho with a fixed parameter schedule, and primality is
+Everything here is deterministic and exact, with no floats: the package's
+comparisons rely on these primitives never rounding.  Factorization is
+trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
+which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
+variant of Pollard rho with a fixed parameter schedule; primality is
 Miller-Rabin.  The first k primes as bases decide every n below psi_k,
 the least strong pseudoprime to all of them, so the base set grows with
 n: primes up to 13 below psi_6 = 3474749660383, up to 17 below psi_7 =
@@ -22,7 +23,7 @@ import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 _TRIAL_LIMIT = 10_000
 _SIEVE_BLOCK = 2048
@@ -50,6 +51,9 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+# (first prime squared, product, primes) for each run of 32 consecutive small primes
+_TRIAL_BLOCKS = tuple((ps[0] ** 2, prod(ps), ps) for ps in (
+    _SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32)))
 
 
 def small_primes(limit: int) -> list[int]:
@@ -149,6 +153,27 @@ def _factor_into(m: int, depth: int, acc: dict[int, int]) -> None:
     _factor_into(m // d, depth, acc)
 
 
+def trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({p: e}, m) with n = m * prod(p**e), each p <= 10**4, for n >= 1: one gcd
+    per block of 32 primes, up to the first block whose first prime squared
+    exceeds m, so m has no prime factor up to min(10**4, isqrt(m))."""
+    acc: dict[int, int] = {}
+    for first_squared, block, primes in _TRIAL_BLOCKS:
+        if first_squared > n:
+            break
+        g = gcd(block, n)
+        if g > 1:
+            for p in primes:
+                if g % p == 0:
+                    n, e, g = n // p, 1, g // p
+                    while n % p == 0:
+                        n, e = n // p, e + 1
+                    acc[p] = e
+                    if g == 1:
+                        break
+    return acc, n
+
+
 def factorize(n: int) -> Factorization:
     """Total factorization of n >= 0.  factorize(0) and factorize(1) have
     empty factor lists."""
@@ -156,14 +181,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize expects n >= 0, got {n}")
     if n <= 1:
         return Factorization(n, ())
-    acc: dict[int, int] = {}
-    m = n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            acc[p] = acc.get(p, 0) + 1
-            m //= p
+    acc, m = trial_divide(n)
     _factor_into(m, _TRIAL_LIMIT, acc)
     return Factorization(n, tuple(sorted(acc.items())))
 

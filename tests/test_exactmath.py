@@ -1,15 +1,16 @@
 """Arithmetic primitives against independent small-scale oracles."""
 
 import random
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from planesieve import exactmath
 from planesieve.exactmath import (Factorization, cyclotomic_pieces, factor_cyclotomic_ratio,
                                   factorize, gaussian_binomial, geom_sum, is_prime, is_prime_power,
-                                  nth_root, phi3_factorizations, small_primes)
+                                  nth_root, phi3_factorizations, small_primes, trial_divide)
 
 from _oracles import brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations
 
@@ -168,6 +169,99 @@ def test_factorize_reassembles(n):
     f = factorize(n)
     assert f.reassemble() == n
     assert all(is_prime(p) for p, _ in f.factors)
+
+
+# the trial stage's edges: primes up to 10**4 in blocks of 32, the primes
+# just past 10**4, and primes above psi_13 = 3317044064679887385961981
+_PRIMES_PAST_LIMIT = _reference_sieve(10_100)
+_TRIAL_PRIMES = _PRIMES_PAST_LIMIT[:1229]
+_BLOCKS = [_TRIAL_PRIMES[i:i + 32] for i in range(0, 1229, 32)]
+_LARGE_PRIMES = (10**9 + 7, 2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def test_trial_blocks_are_runs_of_32_small_primes():
+    assert [primes for _, _, primes in exactmath._TRIAL_BLOCKS] == _BLOCKS
+    assert _TRIAL_PRIMES[-1] == 9973 and _PRIMES_PAST_LIMIT[1229] == 10_007
+    for first_squared, block, primes in exactmath._TRIAL_BLOCKS:
+        assert (first_squared, block) == (primes[0] ** 2, prod(primes))
+
+
+def _trial_edge_values():
+    values = set()
+    for block in _BLOCKS:
+        for p in (block[0], block[-1]):
+            values.update(p**k for k in (1, 2, 3, 5))
+    values.update(9973**k for k in range(1, 6))
+    values.update((10_007, 10_009, 10_007 * 10_009, 9973 * 10_007 * 10_009))
+    # a prime up to 10**4 times each of the next three primes
+    for i, p in enumerate(_TRIAL_PRIMES):
+        if i % 16 in (0, 15) or p > 9000:
+            values.update(p * q for q in _PRIMES_PAST_LIMIT[i + 1:i + 4])
+    # the (depth + 1)**2 = 10001**2 premise edge: squares on each side of 10**4
+    for p in (9949, 9967, 9973, 10_007, 10_009, 10_037):
+        values.update((p * p, p * p - 1, p * p + 1, 2 * p * p, 9973 * p * p))
+    # above psi_13, with small factors
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    for big in _LARGE_PRIMES[2:]:
+        values.update((2**40 * big, 3 * 9973**2 * big, 10_007 * big, 6 * 9973 * 10_009 * big))
+    values.update((psi_13 - 1, psi_13 + 1, 2**5 * (psi_13 + 2)))
+    return sorted(values)
+
+
+def test_factorize_trial_edges_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in _trial_edge_values():
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+
+
+@seed(23)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_PRIMES_PAST_LIMIT), max_size=8),
+       st.sampled_from((1,) + _LARGE_PRIMES))
+def test_factorize_small_factor_products_match_sympy(primes, big):
+    sympy = pytest.importorskip("sympy")
+    n = prod(primes) * big
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+
+
+def test_trial_divide_leaves_a_cofactor_without_small_factors():
+    rng = random.Random(24)
+    for n in _trial_edge_values() + [rng.randrange(1, 10**30) for _ in range(300)]:
+        small, m = trial_divide(n)
+        assert m * prod(p**e for p, e in small.items()) == n
+        assert all(p <= 10_000 and e >= 1 and m % p for p, e in small.items())
+        assert all(m % p for p in _TRIAL_PRIMES if p <= min(10_000, isqrt(m)))
+
+
+def test_factor_into_receives_the_trial_premise(monkeypatch):
+    # each m that _factor_into sees while factorize runs is 1, a prime below
+    # the (depth + 1)**2 stop bound, or free of every prime up to 10**4
+    primorial = prod(_TRIAL_PRIMES)
+    real = exactmath._factor_into
+    seen = []
+
+    def spy(m, depth, acc):
+        assert depth == 10_000
+        seen.append(m)
+        real(m, depth, acc)
+
+    monkeypatch.setattr(exactmath, "_factor_into", spy)
+    rng = random.Random(25)
+    values = _trial_edge_values() + [rng.randrange(2, 10**k) for k in (4, 8, 12) for _ in range(150)]
+    values += [rng.choice(_PRIMES_PAST_LIMIT) ** rng.randrange(1, 4) * rng.randrange(1, 10**9)
+               for _ in range(300)]
+    for n in values:
+        assert factorize(n).reassemble() == n
+    kinds = set()
+    for m in seen:
+        if m == 1:
+            kinds.add("one")
+        elif gcd(m, primorial) == 1:
+            kinds.add("coprime")
+        else:
+            assert m < 10_001**2 and all(m % d for d in range(2, isqrt(m) + 1)), m
+            kinds.add("prime below the stop bound")
+    assert kinds == {"one", "coprime", "prime below the stop bound"}
 
 
 def _phi3(x):

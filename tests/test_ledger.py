@@ -4,8 +4,9 @@ and reporting."""
 import dataclasses
 import hashlib
 import json
+import random
 import sys
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ import planesieve.cases
 import planesieve.exactmath
 from planesieve import ledger
 from planesieve.cases import REGISTRY
+from planesieve.exactmath import cyclotomic_pieces
 from planesieve.ledger import CaseCheck, Verdict
 from planesieve.plane import quadratic_ratio_root
 
@@ -332,6 +334,50 @@ def test_u_parab_mod_builds_each_column_once(monkeypatch):
     monkeypatch.setattr(planesieve.cases, "cyclotomic_pieces", spy)
     ledger.replay("U-PARAB-MOD")
     assert 0 < len(calls) <= 250
+
+
+def _one_mod_three_by_definition(n, sympy):
+    # every prime divisor of n other than 3 is 1 mod 3, read off sympy's
+    # factors; None exactly where the cofactor left by the primes up to 10**4
+    # is above 10**18, = 1 mod 3 and not a prime power, so the answer is open
+    small = [p for p in sympy.primerange(2, 10_001) if n % p == 0]
+    rest = n // prod(p ** sympy.multiplicity(p, n) for p in small)
+    if any(p % 3 == 2 for p in small) or rest % 3 == 2:
+        return False  # a value = 2 mod 3 has a prime divisor = 2 mod 3
+    if rest <= 10**18 or sympy.isprime(rest):
+        return all(p % 3 == 1 for p in sympy.primefactors(rest))
+    root = (sympy.perfect_power(rest) or (rest, 1))[0]
+    return root % 3 == 1 if sympy.isprime(root) else None
+
+
+def test_one_mod_three_only_matches_its_definition():
+    sympy = pytest.importorskip("sympy")
+    # every cyclotomic piece U-PARAB-MOD screens for n <= 50
+    pieces = set()
+    for a in (1, 3, 5, 7, 9):
+        for m in range(2, 51):
+            pieces.update(cyclotomic_pieces(2, a * m, plus=m % 2 == 1).values())
+    rng = random.Random(26)
+    pool = list(sympy.primerange(2, 200)) + [sympy.nextprime(rng.randrange(10**4, 10**7))
+                                             for _ in range(20)]
+    drawn = {3 ** rng.randrange(3) * prod(rng.sample(pool, rng.randrange(5))) for _ in range(300)}
+    answers = []
+    for n in sorted(pieces) + sorted(drawn) + [1, 2, 3, 9, 3 * 7, 3 * 10_007, 7 * 10_009**2]:
+        answers.append(planesieve.cases._one_mod_three_only(n))
+        assert answers[-1] == _one_mod_three_by_definition(n, sympy), n
+    assert {True, False, None} <= set(answers)
+
+
+def test_one_mod_three_only_leaves_a_large_cofactor_open():
+    # 10000000033 * 10000000069, both primes = 1 mod 3, is above 10**18 and
+    # not a prime power: true by definition, but left undecided
+    sympy = pytest.importorskip("sympy")
+    p, q = 10_000_000_033, 10_000_000_069
+    assert sympy.isprime(p) and sympy.isprime(q) and p % 3 == q % 3 == 1
+    assert p * q > planesieve.cases._FACTOR_CAP
+    assert planesieve.cases._one_mod_three_only(p * q) is None
+    assert planesieve.cases._one_mod_three_only(7 * p * q) is None
+    assert planesieve.cases._one_mod_three_only(5 * p * q) is False
 
 
 def test_u_parab_mod_every_bound_golden_digest():
