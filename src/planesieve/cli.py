@@ -3,11 +3,13 @@
 Subcommands replay the elimination ledger, run the order sieve, and
 answer exact-arithmetic queries (orders, parabolic indices, involution
 class sizes, factorizations).  Structured output is a line-delimited
-record stream with a trailing summary record; `scan` does not stream
-yet, and prints nothing until its last row is sieved.  A scan encodes
-each distinct filter trace once per invocation, as JSON or as its text
-form; the trace pairs themselves come prebuilt from the gate's verdicts.
-Each row line is then one f-string holding the bytes
+record stream with a trailing summary record.  `verify-all` writes and
+flushes each case's record as soon as that case ends, in registry order
+at any `--jobs`; `scan` does not stream yet, and prints nothing until
+its last row is sieved.  A scan encodes each distinct filter trace once
+per invocation, as JSON or as its text form; the trace pairs themselves
+come prebuilt from the gate's verdicts.  Each row line is then one
+f-string holding the bytes
 `json.dumps(record, sort_keys=True)` would give.  Exit codes: 0
 success, 1 verdict failure, 2 usage error, 3 internal error, such as a
 group value past Python's int-to-str digit limit.  The argument parser
@@ -66,9 +68,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         raise ValueError(f"--u-max must be in [1, {U_CAP}]")
     if args.q_max is not None and not 1 <= args.q_max <= Q_CAP:
         raise ValueError(f"--q-max must be in [1, {Q_CAP}]")
-    results = ledger.verify_all(jobs=args.jobs, u_max=args.u_max, q_max=args.q_max)
+    results = []
     counts = {"eliminated": 0, "violated": 0, "inconclusive": 0}
-    for res in results:
+    for res in ledger.verify_all(jobs=args.jobs, u_max=args.u_max, q_max=args.q_max):
+        results.append(res)
         counts[res.verdict.value] += 1
         if args.format == "structured":
             _emit(ledger.report_record(res))
@@ -77,6 +80,8 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
             if res.bound is not None:
                 line += f"  bound={res.bound}"
             print(line)
+        # each record goes out as its case ends, even into a pipe
+        sys.stdout.flush()
     ok = ledger.all_eliminated(results)
     if args.format == "structured":
         _emit({"record": "summary", "cases": len(results), "ok": ok, **counts})

@@ -143,12 +143,15 @@ def _run(case: CaseCheck, bound: int | None) -> CaseResult:
 
 
 def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None,
-               registry: Sequence[CaseCheck] | None = None) -> list[CaseResult]:
-    """Replay every registered case in registry order.
+               registry: Sequence[CaseCheck] | None = None) -> Iterator[CaseResult]:
+    """Replay every registered case, lazily, in registry order.
 
     u_max and q_max tighten the scan caps of cases whose bound kind
-    matches; other cases run their full default domain.  Results come
-    back in registry order regardless of the worker count.
+    matches; other cases run their full default domain.  The arguments
+    are checked at the call, but no case runs until the returned
+    iterator is advanced, and each result is handed over as soon as its
+    case (and every case ahead of it) has finished.  Results come in
+    registry order at any worker count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -159,9 +162,13 @@ def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None
         return _run(case, caps.get(case.bound_kind))
 
     if jobs == 1:
-        return [run(case) for case in reg]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, reg))
+        return map(run, reg)
+
+    def pooled() -> Iterator[CaseResult]:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(run, reg)
+
+    return pooled()
 
 
 def all_eliminated(results: Sequence[CaseResult]) -> bool:

@@ -105,6 +105,37 @@ def test_verify_all_structured_stream(capsys):
     assert all(r["verdict"] == "eliminated" for r in records[:-1])
 
 
+class _FlushedSink(io.StringIO):
+    """A stdout stand-in that keeps what had been written at the last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
+@pytest.mark.parametrize("fmt, first", [
+    ("structured", '{"anchor": "a", "elapsed_ms": '),
+    ("text", "ELIMINATED   TOY-FIRST        ("),
+], ids=["structured", "text"])
+def test_verify_all_flushes_each_record_as_its_case_ends(monkeypatch, fmt, first):
+    from planesieve import ledger
+    sink = _FlushedSink()
+    seen = []
+    reg = (ledger.CaseCheck(id="TOY-FIRST", section="s", anchor="a", parameters="p",
+                            check=lambda rec, _bound: None),
+           ledger.CaseCheck(id="TOY-SECOND", section="s", anchor="a", parameters="p",
+                            check=lambda rec, _bound: seen.append(sink.flushed)))
+    monkeypatch.setattr(ledger, "_default_registry", lambda: reg)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["verify-all", "--format", fmt]) == 0
+    [before_second] = seen
+    assert before_second.startswith(first)
+    assert before_second.count("\n") == 1 and "TOY-FIRST" in before_second
+    assert "TOY-SECOND" in sink.getvalue()
+
+
 def test_ledger_output_golden_digest(capsys):
     # byte-for-byte pin of every ledger report: the structured records of
     # verify-all without timings, and the exit code and text of verify for
@@ -606,6 +637,21 @@ def test_scan_into_a_closed_pipe_exits_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert first.startswith(b"u=2 v=21=3 * 7 ")
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_into_a_closed_pipe_exits_quietly(jobs):
+    # the reader goes away after the first record, while the replay is
+    # still running: the next flush meets the closed pipe, and the pool's
+    # workers wind down without a hang or a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "planesieve.cli", "verify-all",
+                             "--format", "structured", "--jobs", jobs], env=_src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["id"] == REGISTRY[0].id
     assert (proc.returncode, err) == (0, b"")
 
 

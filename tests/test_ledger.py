@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from math import isqrt, prod
 
 import pytest
@@ -213,14 +214,15 @@ def test_record_branches_confirm_only_clean_branches():
 
 
 def test_verify_all_order_and_verdicts():
-    results = ledger.verify_all()
+    results = list(ledger.verify_all())
     assert [r.id for r in results] == EXPECTED_IDS
     assert ledger.all_eliminated(results)
 
 
 def test_verify_all_parallel_matches_serial():
-    serial = ledger.verify_all(jobs=1)
-    parallel = ledger.verify_all(jobs=4)
+    serial = list(ledger.verify_all(jobs=1))
+    parallel = list(ledger.verify_all(jobs=4))
+    assert len(serial) == len(parallel) == len(EXPECTED_IDS)
     for a, b in zip(serial, parallel):
         assert (a.id, a.verdict, a.witnesses, a.bound) \
             == (b.id, b.verdict, b.witnesses, b.bound)
@@ -250,9 +252,36 @@ def test_verify_all_runs_each_case_object_it_iterates(monkeypatch):
                           check=lambda rec, _bound, tag=tag: ran.append(tag))
                 for tag in (1, 2))
     monkeypatch.setattr(ledger, "get_case", None)
-    results = ledger.verify_all(registry=reg)
+    results = list(ledger.verify_all(registry=reg))
     assert ran == [1, 2]
     assert all(res.case is case for res, case in zip(results, reg, strict=True))
+
+
+def _counting_registry(ran, n):
+    return tuple(CaseCheck(id=f"TOY-{tag}", section="s", anchor="a", parameters="p",
+                           check=lambda rec, _bound, tag=tag: ran.append(tag))
+                 for tag in range(n))
+
+
+def test_verify_all_runs_a_case_only_when_its_result_is_asked_for():
+    ran = []
+    results = ledger.verify_all(registry=_counting_registry(ran, 3))
+    assert ran == []
+    assert next(results).id == "TOY-0"
+    assert ran == [0]
+    assert [r.id for r in results] == ["TOY-1", "TOY-2"]
+    assert ran == [0, 1, 2]
+
+
+def test_verify_all_parallel_results_come_in_registry_order():
+    # the first case outlasts the rest, which the second worker runs meanwhile
+    ran = []
+    slow = CaseCheck(id="TOY-SLOW", section="s", anchor="a", parameters="p",
+                     check=lambda rec, _bound: (time.sleep(0.05), ran.append("slow")))
+    reg = (slow, *_counting_registry(ran, 5))
+    results = list(ledger.verify_all(jobs=2, registry=reg))
+    assert [r.case for r in results] == list(reg)
+    assert len(ran) == len(reg)
 
 
 def test_verify_all_rejects_bad_jobs():
