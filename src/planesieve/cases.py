@@ -23,8 +23,8 @@ from operator import ne
 from typing import Callable
 
 from .catalog import classes_for, involution_class_size
-from .exactmath import (cyclotomic_pieces, factorize, gaussian_binomial, geom_sum,
-                        is_prime_power, nth_root, phi3_factorizations, small_primes,
+from .exactmath import (cyclotomic_pieces, cyclotomic_ratio, factorize, gaussian_binomial,
+                        geom_sum, is_prime_power, nth_root, phi3_factorizations, small_primes,
                         trial_divide)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck, CheckFn, Record
@@ -350,7 +350,7 @@ def _psl2_subfield(rec: Record, q_max: int) -> None:
         a = 3
         while r**a <= q_max:
             plussum = geom_sum(r, a - 1)
-            altsum = (r**a + 1) // (r + 1)
+            altsum = cyclotomic_ratio(r, ((a, -1),), ((1, -1),))
             if r % 4 == 3:
                 if not plussum > altsum:
                     rec.fail("sum-comparison-failure", r, a)
@@ -425,11 +425,8 @@ def _psl3_type67(rec: Record, q_max: int) -> None:
 # --- unitary groups --------------------------------------------------------
 
 def _unitary_first_index(a: int, n: int) -> int:
-    q = 2**a
     n_even, n_odd = (n, n - 1) if n % 2 == 0 else (n - 1, n)
-    value = (q**n_even - 1) * (q**n_odd + 1)
-    assert value % (q * q - 1) == 0
-    return value // (q * q - 1)
+    return cyclotomic_ratio(2**a, ((n_even, 1), (n_odd, -1)), ((2, 1),))
 
 
 @_case(id="U-PARAB-MOD", section="unitary/parabolic-mod-12",
@@ -500,7 +497,7 @@ def _u_parab_mod(rec: Record, n_max: int) -> None:
        parameters="q in {7, 13}")
 def _u_n5_b1(rec: Record, _bound: int | None) -> None:
     for q, expect in rec.branches((7, 13)):
-        cof = (q**5 + 1) // (q + 1)
+        cof = cyclotomic_ratio(q, ((5, -1),), ((1, -1),))
         expect("cofactor-identity", cof == q**4 - q**3 + q * q - q + 1)
         v = q**4 * cof
         expect("single-multiple", isqrt(2 * v) // q**4 == 1)

@@ -392,7 +392,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
 
 
 _PARITY = {"even": 0, "odd": 1}
-_SIGNS = {"+": 1, "-": -1}
 
 # One test per validity key: whether spec lies inside that key's window.
 _WINDOW = {
@@ -445,7 +444,7 @@ def involution_class_size(template: dict[str, Any], spec: GroupSpec) -> int:
     if not _covers(template, spec):
         raise ValueError(f"{template['label']} does not cover {spec}")
     n, q = spec.n, spec.q
-    sign = template["sign"] or _SIGNS.get(spec.eps)
+    sign = template["sign"] or spec.sign
     num, den = template["const"]
     num *= prod(_eval_factor(factor, n, q, sign) for factor in template["factors"])
     den *= prod(_eval_factor(factor, n, q, sign) for factor in template.get("divide", ()))

@@ -1,6 +1,8 @@
 """Exact integer arithmetic: factorization, a root-class sieve factoring
-x**2 + x + 1 over a range of x, prime powers, geometric sums, and the
-cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1.
+x**2 + x + 1 over a range of x, prime powers, the cyclotomic pieces Phi_d(x)
+of x**k - 1 and x**k + 1, and ratios prod(x**d - e) / prod(x**d - e) with
+e = +-1: cyclotomic_ratio evaluates them (geometric sums and Gaussian
+binomials included) and factor_cyclotomic_ratio factors them.
 
 Everything here is deterministic and exact, with no floats: the package's
 comparisons rely on these primitives never rounding.  Factorization is
@@ -256,10 +258,7 @@ def geom_sum(q: int, k: int, step: int = 1) -> int:
         raise ValueError(f"geom_sum expects q >= 2, got {q}")
     if k < 0 or step < 1:
         raise ValueError(f"geom_sum expects k >= 0 and step >= 1, got k={k}, step={step}")
-    base = q**step
-    num = base ** (k + 1) - 1
-    assert num % (base - 1) == 0
-    return num // (base - 1)
+    return cyclotomic_ratio(q, (((k + 1) * step, 1),), ((step, 1),))
 
 
 def cyclotomic_pieces(x: int, k: int, plus: bool = False) -> dict[int, int]:
@@ -286,6 +285,19 @@ def cyclotomic_pieces(x: int, k: int, plus: bool = False) -> dict[int, int]:
                 value //= phi
         values[d] = value
     return {d: value for d, value in values.items() if k % d} if plus else values
+
+
+def cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
+                     den: Iterable[tuple[int, int]]) -> int:
+    """prod(x**d - e for (d, e) in num) / prod(x**d - e for (d, e) in den),
+    checked to be exact."""
+    top = bottom = 1
+    for d, e in num:
+        top *= x**d - e
+    for d, e in den:
+        bottom *= x**d - e
+    assert top % bottom == 0
+    return top // bottom
 
 
 def factor_cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
@@ -319,20 +331,9 @@ def factor_cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
 
 def gaussian_binomial(n: int, m: int, q: int) -> int:
     """Number of m-dimensional subspaces of an n-dimensional space over a
-    field with q elements.
-
-    Computed numerator-first: after j factors the running product is the
-    (n, j) count itself, so every intermediate division is exact and the
-    whole computation stays in the integers.
-    """
+    field with q elements."""
     if q < 2:
         raise ValueError(f"gaussian_binomial expects q >= 2, got {q}")
     if not 0 <= m <= n:
         raise ValueError(f"gaussian_binomial expects 0 <= m <= n, got n={n}, m={m}")
-    out = 1
-    for i in range(m):
-        out *= q ** (n - i) - 1
-        den = q ** (i + 1) - 1
-        assert out % den == 0
-        out //= den
-    return out
+    return cyclotomic_ratio(q, ((n - i, 1) for i in range(m)), ((i + 1, 1) for i in range(m)))

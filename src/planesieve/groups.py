@@ -7,22 +7,22 @@ states its simple (adjoint quotient) order once, as a record
 
     order = q^N * prod_terms(q^d - e) / prod_divisor(q^d - e) / center
 
-(Carter, Simple Groups of Lie Type, 1972).  order reads the record.
-Parabolic indices cover the families where a closed product formula is
-wired in, as exact ratios of the same q^d - e factors; everything is
-exact integer arithmetic.  The factorizations of a Lie-type order or
-index are read off these records: each distinct cyclotomic value
-Phi_k(q) in the q^d - e factors is factored once, never the whole
-value.
+(Carter, Simple Groups of Lie Type, 1972).  Parabolic indices cover the
+families where a closed product formula is wired in, as ratios of the
+same q^d - e factors.  order and parabolic_index evaluate these records
+with exactmath.cyclotomic_ratio, exactly.  The factorizations of a
+Lie-type order or index are read off the same records: each distinct
+cyclotomic value Phi_k(q) in the q^d - e factors is factored once, never
+the whole value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .exactmath import Factorization, factor_cyclotomic_ratio, factorize, is_prime_power
+from .exactmath import (Factorization, cyclotomic_ratio, factor_cyclotomic_ratio, factorize,
+                        is_prime_power)
 
 # Orders of the sporadic groups, keyed by canonical name.
 SPORADIC_ORDERS: dict[str, int] = {
@@ -104,6 +104,11 @@ class GroupSpec:
             return f"E6{self.eps}({self.q})"
         return f"{self.family}({self.q})"
 
+    @property
+    def sign(self) -> int | None:
+        """The form sign eps as +1 or -1; None when eps is "o" or unset."""
+        return 1 if self.eps == "+" else -1 if self.eps == "-" else None
+
 
 def _char(q: int, context: str) -> tuple[int, int]:
     pp = is_prime_power(q) if q >= 2 else None
@@ -176,22 +181,6 @@ def group_spec(family: str, n: int | None = None, q: int | None = None,
     return GroupSpec(family, n=n, q=q, eps=eps, p=p, e=e)
 
 
-def _sign(eps: str) -> int:
-    return {"+": 1, "-": -1}[eps]
-
-
-def _ratio(q: int, num: Iterable[tuple[int, int]], den: Iterable[tuple[int, int]]) -> int:
-    """prod(q^d - e for (d, e) in num) / prod(q^d - e for (d, e) in den),
-    checked to be exact."""
-    top = bottom = 1
-    for d, e in num:
-        top *= q**d - e
-    for d, e in den:
-        bottom *= q**d - e
-    assert top % bottom == 0
-    return top // bottom
-
-
 # (N, terms, divisor) of the exceptional families other than E6; the
 # 3D4 factor q^8 + q^4 + 1 is (q^12 - 1)/(q^4 - 1).
 _EXCEPTIONAL_RECORDS = {
@@ -218,11 +207,11 @@ def _order_record(spec: GroupSpec) -> tuple[int, tuple, tuple, int]:
         m = n // 2
         return m * m, tuple((2 * i, 1) for i in range(1, m + 1)), (), gcd(2, q - 1)
     if fam == "POmega":
-        m, s = n // 2, _sign(spec.eps)
+        m, s = n // 2, spec.sign
         terms = ((m, s),) + tuple((2 * i, 1) for i in range(1, m))
         return m * (m - 1), terms, (), gcd(4, q**m - s)
     if fam == "E6":
-        s = _sign(spec.eps)
+        s = spec.sign
         return 36, ((12, 1), (9, s), (8, 1), (6, 1), (5, s), (2, 1)), (), gcd(3, q - s)
     if fam not in _EXCEPTIONAL_RECORDS:
         raise ValueError(f"unknown family {fam!r}")
@@ -240,7 +229,7 @@ def order(spec: GroupSpec) -> int:
     if spec.family == "SPOR":
         return SPORADIC_ORDERS[spec.name]
     q_exp, terms, divisor, center = _order_record(spec)
-    return spec.q**q_exp * _ratio(spec.q, terms, divisor) // center
+    return spec.q**q_exp * cyclotomic_ratio(spec.q, terms, divisor) // center
 
 
 def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:
@@ -266,8 +255,7 @@ def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:
             raise ValueError(f"only the point parabolic is wired for {spec}")
         if spec.eps == "o":
             return ((n - 1, 1),), ((1, 1),)
-        s = _sign(spec.eps)
-        return ((n // 2, s), ((n - 2) // 2, -s)), ((1, 1),)
+        return ((n // 2, spec.sign), ((n - 2) // 2, -spec.sign)), ((1, 1),)
     if spec.family == "G2":
         if m not in (1, 2):
             raise ValueError(f"G2 parabolic range is 1..2, got {m}")
@@ -278,7 +266,7 @@ def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:
 def parabolic_index(spec: GroupSpec, m: int) -> int:
     """Index of the m-th maximal parabolic subgroup (totally isotropic
     m-subspace stabilizer for the classical families)."""
-    return _ratio(spec.q, *_index_record(spec, m))
+    return cyclotomic_ratio(spec.q, *_index_record(spec, m))
 
 
 def _checked(value: int, f: Factorization) -> Factorization:

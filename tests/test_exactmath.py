@@ -8,9 +8,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from planesieve import exactmath
-from planesieve.exactmath import (Factorization, cyclotomic_pieces, factor_cyclotomic_ratio,
-                                  factorize, gaussian_binomial, geom_sum, is_prime, is_prime_power,
-                                  nth_root, phi3_factorizations, small_primes, trial_divide)
+from planesieve.exactmath import (Factorization, cyclotomic_pieces, cyclotomic_ratio,
+                                  factor_cyclotomic_ratio, factorize, gaussian_binomial, geom_sum,
+                                  is_prime, is_prime_power, nth_root, phi3_factorizations,
+                                  small_primes, trial_divide)
 
 from _oracles import brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations
 
@@ -413,20 +414,26 @@ def test_factor_cyclotomic_ratio_matches_factorize():
                 num = [(n - i, (-1) ** (n - i)) for i in range(m)]
                 den = [(i + 1, (-1) ** (i + 1)) for i in range(m)]
                 value = prod(x**d - e for d, e in num) // prod(x**d - e for d, e in den)
+                assert cyclotomic_ratio(x, num, den) == value, (x, n, m)
                 assert factor_cyclotomic_ratio(x, num, den) == factorize(value), (x, n, m)
                 num = [(n - i, 1) for i in range(m)]
                 den = [(i + 1, 1) for i in range(m)]
-                value = gaussian_binomial(n, m, x)
+                value = prod(x**d - e for d, e in num) // prod(x**d - e for d, e in den)
+                assert cyclotomic_ratio(x, num, den) == value, (x, n, m)
+                assert gaussian_binomial(n, m, x) == value, (x, n, m)
                 assert factor_cyclotomic_ratio(x, num, den) == factorize(value), (x, n, m)
             # a unitary-style order repeats pieces: Phi_2(x) divides all n terms
             num = [(i, (-1) ** i) for i in range(1, n + 1)]
             value = prod(x**d - e for d, e in num)
+            assert cyclotomic_ratio(x, num, []) == value, (x, n)
             assert factor_cyclotomic_ratio(x, num, []) == factorize(value), (x, n)
 
 
 def test_factor_cyclotomic_ratio_rejects_bad_terms():
     with pytest.raises(AssertionError):
         factor_cyclotomic_ratio(3, [(4, 1)], [(3, 1)])  # (x^4 - 1)/(x^3 - 1)
+    with pytest.raises(AssertionError):
+        cyclotomic_ratio(3, [(4, 1)], [(3, 1)])
     with pytest.raises(ValueError):
         factor_cyclotomic_ratio(3, [(4, 2)], [])
 

@@ -263,6 +263,10 @@ def test_group_spec_validation():
         with pytest.raises(ValueError) as info:
             group_spec(family, **kwargs)
         assert str(info.value) == message
+    assert group_spec("POmega", n=8, q=3, eps="+").sign == 1
+    assert group_spec("E6", q=2, eps="-").sign == -1
+    assert group_spec("POmega", n=7, q=3, eps="o").sign is None
+    assert group_spec("PSL", n=3, q=4).sign is None
 
 
 def test_parse_group_errors():
