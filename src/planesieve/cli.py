@@ -5,17 +5,19 @@ answer exact-arithmetic queries (orders, parabolic indices, involution
 class sizes, factorizations).  Structured output is a line-delimited
 record stream with a trailing summary record.  `verify-all` writes and
 flushes each case's record as soon as that case ends, in registry order
-at any `--jobs`; `scan` does not stream yet, and prints nothing until
-its last row is sieved.  A scan encodes each distinct filter trace once
-per invocation, as JSON or as its text form; the trace pairs themselves
-come prebuilt from the gate's verdicts.  Each row line is then one
-f-string holding the bytes
-`json.dumps(record, sort_keys=True)` would give.  Exit codes: 0
-success, 1 verdict failure, 2 usage error, 3 internal error, such as a
-group value past Python's int-to-str digit limit.  The argument parser
-is built on the first `main` call and reused by every later call in
-the process.  Subcommands import their layers when they run, so
-importing `planesieve.cli` loads no computation module.
+at any `--jobs`.  `scan` writes each row as soon as it is sieved, but
+does not flush per row, so on a pipe rows arrive a buffer at a time; it
+still holds every row until the end, and a stream that stops without
+its summary record is incomplete.  A scan encodes each distinct filter
+trace once per invocation, as JSON or as its text form; the trace pairs
+themselves come prebuilt from the gate's verdicts.  Each row line is
+then one f-string holding the bytes `json.dumps(record, sort_keys=True)`
+would give.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
+3 internal error, such as a group value past Python's int-to-str digit
+limit.  The argument parser is built on the first `main` call and
+reused by every later call in the process.  Subcommands import their
+layers when they run, so importing `planesieve.cli` loads no
+computation module.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import __version__
 if TYPE_CHECKING:
     from .exactmath import Factorization
     from .groups import GroupSpec
+    from .scan import SieveRow
 
 Q_CAP = 2**10
 RANK_CAP = 50
@@ -112,12 +115,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     import json
     from .scan import sieve_orders
     candidates = _parse_candidates(args.candidates) if args.candidates else None
-    rows = sieve_orders(args.u_min, args.u_max, candidates)
     structured = args.format == "structured"
     # Few distinct filter traces occur in one scan, so each is encoded once.
     encoded: dict[tuple[tuple[str, bool], ...], str] = {}
     survivors = 0
-    for row in rows:
+
+    def write(row: SieveRow) -> None:
+        nonlocal survivors
         survivors += row.survived
         trace = encoded.get(row.filter_trace)
         if trace is None:
@@ -133,6 +137,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         else:
             tag = "survives" if row.survived else "ELIMINATED"
             print(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}")
+
+    rows = sieve_orders(args.u_min, args.u_max, candidates, emit=write)
     if structured:
         _emit({"record": "summary", "rows": len(rows), "survivors": survivors})
     else:

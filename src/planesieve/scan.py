@@ -30,6 +30,7 @@ Phi_3(u) and b = u^2-u+1 = Phi_3(u-1), so v = ab = Phi_3(u^2).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -130,8 +131,13 @@ def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
 
 
 def sieve_orders(u_min: int, u_max: int,
-                 group_candidates: list[GroupSpec] | None = None) -> list[SieveRow]:
-    """One SieveRow per u in [u_min, u_max], in order."""
+                 group_candidates: list[GroupSpec] | None = None,
+                 emit: Callable[[SieveRow], None] | None = None) -> list[SieveRow]:
+    """One SieveRow per u in [u_min, u_max], in order.  When emit is
+    given, each row is handed to it as soon as it is built, before the
+    next row is sieved, so a caller can write rows out as they come; the
+    range is checked before any row is built.  The list of every row is
+    returned either way, so memory still grows with the range."""
     if u_min < 2:
         raise ValueError(f"u_min must be >= 2, got {u_min}")
     if u_max < u_min:
@@ -139,4 +145,10 @@ def sieve_orders(u_min: int, u_max: int,
     if u_max > U_CAP:
         raise ValueError(f"u_max {u_max} exceeds the cap {U_CAP}")
     candidates = tuple(prepare_candidate(spec) for spec in group_candidates or ())
-    return [_row(plane, candidates) for plane in plane_orders(u_min, u_max)]
+    rows = []
+    for plane in plane_orders(u_min, u_max):
+        row = _row(plane, candidates)
+        if emit is not None:
+            emit(row)
+        rows.append(row)
+    return rows

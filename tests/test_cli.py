@@ -266,6 +266,66 @@ def test_scan_range_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class _RowCountingSink(io.StringIO):
+    """A stdout stand-in that notes, at each write, how many rows the
+    sieve had built by then."""
+
+    def __init__(self, built):
+        super().__init__()
+        self.built = built
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append((len(self.built), s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt, first_row, summary", [
+    ("structured", '{"filters": ', '{"record": "summary", '),
+    ("text", "u=2 ", "59 rows, "),
+], ids=["structured", "text"])
+def test_scan_writes_each_row_as_it_is_sieved(monkeypatch, fmt, first_row, summary):
+    from planesieve import scan
+    real, built = scan._row, []
+
+    def spy(plane, candidates):
+        built.append(plane.u)
+        return real(plane, candidates)
+
+    monkeypatch.setattr(scan, "_row", spy)
+    sink = _RowCountingSink(built)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["scan", "--u-min", "2", "--u-max", "60", "--candidates", "PSL 2 13",
+                 "--format", fmt]) == 0
+    assert built == list(range(2, 61))
+    texts = [s for _, s in sink.writes]
+    assert texts[0].startswith(first_row)
+    assert sink.writes[0][0] == 1  # the first row is out before the second is built
+    [at_summary] = [n for n, s in sink.writes if s.startswith(summary)]
+    assert at_summary == 59 and texts[-2].startswith(summary)
+
+
+def test_scan_failing_midway_leaves_the_rows_before_it(monkeypatch, capsys):
+    # the rows already sieved stay written; the stream ends without its
+    # summary record, which marks it incomplete
+    _, whole, _ = _run(capsys, "scan", "--u-min", "2", "--u-max", "4", "--format", "structured")
+    from planesieve import scan
+    real = scan._row
+
+    def failing(plane, candidates):
+        if plane.u == 5:
+            raise RuntimeError("row 5 broke")
+        return real(plane, candidates)
+
+    monkeypatch.setattr(scan, "_row", failing)
+    code, out, err = _run(capsys, "scan", "--u-min", "2", "--u-max", "60",
+                          "--format", "structured")
+    assert code == 3
+    assert out == whole[:whole.index('{"record": "summary"')]
+    assert [json.loads(line)["u"] for line in out.splitlines()] == [2, 3, 4]
+    assert err.startswith("internal error: RuntimeError: row 5 broke")
+
+
 # Candidate lists for the row-encoder reference.  The first adds three
 # groups with passing gates and the uncovered A7 to the whole catalog,
 # which eliminates every row up to u = 3000; the second leaves the rows
@@ -637,6 +697,23 @@ def test_scan_into_a_closed_pipe_exits_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert first.startswith(b"u=2 v=21=3 * 7 ")
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_scan_of_the_whole_range_stops_soon_after_its_reader():
+    # rows reach the pipe a buffer at a time while the sieve runs, so the
+    # child meets the closed pipe at its next flush, long before it could
+    # sieve the 10^6 rows of the range
+    proc = subprocess.Popen([sys.executable, "-m", "planesieve.cli", "scan", "--u-min", "2",
+                             "--u-max", str(U_CAP), "--format", "structured"], env=_src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert json.loads(first)["u"] == 2
     assert (proc.returncode, err) == (0, b"")
 
 

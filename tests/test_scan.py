@@ -271,10 +271,22 @@ def test_sieve_is_pure():
     assert sieve_orders(2, 50) == sieve_orders(2, 50)
 
 
+def test_sieve_hands_each_row_to_emit_as_built():
+    specs = [group_spec("PSL", n=2, q=13), group_spec("G2", q=7), group_spec("PSU", n=5, q=7)]
+    seen = []
+    rows = sieve_orders(2, 300, specs, emit=seen.append)
+    assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
+    assert [row.u for row in seen] == list(range(2, 301))
+    assert rows == sieve_orders(2, 300, specs)
+
+
 def test_sieve_rejects_bad_ranges():
+    # the range is checked before a single row is built or emitted
+    seen = []
     with pytest.raises(ValueError):
-        sieve_orders(1, 5)
+        sieve_orders(1, 5, emit=seen.append)
     with pytest.raises(ValueError):
-        sieve_orders(9, 5)
+        sieve_orders(9, 5, emit=seen.append)
     with pytest.raises(ValueError):
-        sieve_orders(2, U_CAP + 1)
+        sieve_orders(2, U_CAP + 1, emit=seen.append)
+    assert seen == []
