@@ -6,9 +6,9 @@ catalog is serializable and auditable.  One cover test reads the window
 keys eps, n_exact, n_min, n_parity, q_parity and q_mod4, and raises on
 any other.  Exponents are linear forms [a, b] meaning a*n + b, or
 [a, b, d] meaning (a*n + b)/d, exact on every n the window admits; a
-coefficient "e" is the form sign (+1 or -1), from the entry itself or
-the group's eps.  A formula is const[0] times the factors over const[1]
-times the divide factors, one exact integer division.
+coefficient "e" is the form sign (+1 or -1): the optional sign key, or
+else the group's eps.  A formula is const[0] times the factors over
+const[1] times the optional divide factors, one exact integer division.
 
 Entries flagged exact give the class size n_g itself; entries flagged
 as divisor bounds give a stated multiple of n_g, and downstream
@@ -27,7 +27,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl2-odd-plus",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "rank-one projective line, q = 1 mod 4: one involution class, "
@@ -42,7 +41,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl2-odd-minus",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "rank-one projective line, q = 3 mod 4: one involution class, "
@@ -57,7 +55,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl2-even",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "rank-one projective line, even q: involutions are the "
@@ -71,7 +68,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl3-odd",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "dimension 3, odd q: involution with eigenvalues -1,-1,1, "
@@ -86,7 +82,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl3-even",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "dimension 3, even q: involutions are transvections, "
@@ -101,7 +96,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl-diag-odd-n",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "odd dimension >= 5, odd q: involution negating two "
@@ -116,7 +110,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl-diag-n4",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "dimension 4, odd q: involution negating two coordinates; "
@@ -133,7 +126,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl-diag-even-n",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "mixed",
         "anchor": "even dimension >= 6, odd q: involution negating two "
@@ -150,7 +142,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psl-transvection",
         "family": "PSL",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "dimension >= 4, even q: involutions of residue rank one "
@@ -165,7 +156,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psp4",
         "family": "PSp",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "symplectic dimension 4, odd q: central involution of the "
@@ -180,7 +170,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psp-central",
         "family": "PSp",
-        "sign": None,
         "exact": True,
         "parity": "mixed",
         "anchor": "symplectic dimension >= 6, odd q: central involution of a "
@@ -196,7 +185,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psu-two-eigen",
         "family": "PSU",
-        "sign": None,
         "exact": True,
         "parity": "mixed",
         "anchor": "unitary dimension >= 6 even, odd q: involution negating two "
@@ -217,7 +205,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "psu-odd-n-bound",
         "family": "PSU",
-        "sign": None,
         "exact": False,
         "parity": "odd",
         "anchor": "unitary dimension >= 3 odd, odd q: involution with a single "
@@ -267,7 +254,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "g2",
         "family": "G2",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "G2, odd q: one involution class, centralizer a central "
@@ -282,7 +268,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "f4",
         "family": "F4",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "F4, odd q: involution with centralizer of spin type in "
@@ -297,7 +282,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "threeD4",
         "family": "3D4",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "triality D4, odd q: single involution class, centralizer "
@@ -312,7 +296,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "e6",
         "family": "E6",
-        "sign": None,
         "exact": True,
         "parity": "odd",
         "anchor": "E6 of either form sign, odd q: involution centralized by "
@@ -370,7 +353,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
         "label": "e8",
         "family": "E8",
-        "sign": None,
         "exact": False,
         "parity": "even",
         "anchor": "E8, odd q: class size divides "
@@ -444,7 +426,7 @@ def involution_class_size(template: dict[str, Any], spec: GroupSpec) -> int:
     if not _covers(template, spec):
         raise ValueError(f"{template['label']} does not cover {spec}")
     n, q = spec.n, spec.q
-    sign = template["sign"] or spec.sign
+    sign = template.get("sign") or spec.sign
     num, den = template["const"]
     num *= prod(_eval_factor(factor, n, q, sign) for factor in template["factors"])
     den *= prod(_eval_factor(factor, n, q, sign) for factor in template.get("divide", ()))

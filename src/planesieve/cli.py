@@ -6,9 +6,10 @@ class sizes, factorizations).  Structured output is a line-delimited
 record stream with a trailing summary record.  `verify-all` writes and
 flushes each case's record as soon as that case ends, in registry order
 at any `--jobs`.  `scan` writes each row as soon as it is sieved, but
-does not flush per row, so on a pipe rows arrive a buffer at a time; it
-still holds every row until the end, and a stream that stops without
-its summary record is incomplete.  A scan encodes each distinct filter
+does not flush per row, so on a pipe rows arrive a buffer at a time.
+Summaries are tallied as records are written; `sieve_orders` still
+builds the list of every row, and a stream that stops without its
+summary record is incomplete.  A scan encodes each distinct filter
 trace once per invocation, as JSON or as its text form; the trace pairs
 themselves come prebuilt from the gate's verdicts.  Each row line is
 then one f-string holding the bytes `json.dumps(record, sort_keys=True)`
@@ -71,10 +72,8 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         raise ValueError(f"--u-max must be in [1, {U_CAP}]")
     if args.q_max is not None and not 1 <= args.q_max <= Q_CAP:
         raise ValueError(f"--q-max must be in [1, {Q_CAP}]")
-    results = []
     counts = {"eliminated": 0, "violated": 0, "inconclusive": 0}
     for res in ledger.verify_all(jobs=args.jobs, u_max=args.u_max, q_max=args.q_max):
-        results.append(res)
         counts[res.verdict.value] += 1
         if args.format == "structured":
             _emit(ledger.report_record(res))
@@ -85,11 +84,12 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
             print(line)
         # each record goes out as its case ends, even into a pipe
         sys.stdout.flush()
-    ok = ledger.all_eliminated(results)
+    cases = sum(counts.values())
+    ok = counts["eliminated"] == cases
     if args.format == "structured":
-        _emit({"record": "summary", "cases": len(results), "ok": ok, **counts})
+        _emit({"record": "summary", "cases": cases, "ok": ok, **counts})
     else:
-        print(f"{len(results)} cases: {counts['eliminated']} eliminated, "
+        print(f"{cases} cases: {counts['eliminated']} eliminated, "
               f"{counts['violated']} violated, {counts['inconclusive']} inconclusive")
     return 0 if ok else 1
 
@@ -118,10 +118,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     structured = args.format == "structured"
     # Few distinct filter traces occur in one scan, so each is encoded once.
     encoded: dict[tuple[tuple[str, bool], ...], str] = {}
-    survivors = 0
+    rows = survivors = 0
 
     def write(row: SieveRow) -> None:
-        nonlocal survivors
+        nonlocal rows, survivors
+        rows += 1
         survivors += row.survived
         trace = encoded.get(row.filter_trace)
         if trace is None:
@@ -138,11 +139,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             tag = "survives" if row.survived else "ELIMINATED"
             print(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}")
 
-    rows = sieve_orders(args.u_min, args.u_max, candidates, emit=write)
+    sieve_orders(args.u_min, args.u_max, candidates, emit=write)
     if structured:
-        _emit({"record": "summary", "rows": len(rows), "survivors": survivors})
+        _emit({"record": "summary", "rows": rows, "survivors": survivors})
     else:
-        print(f"{len(rows)} rows, {survivors} survive")
+        print(f"{rows} rows, {survivors} survive")
     return 0
 
 

@@ -171,10 +171,6 @@ def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None
     return pooled()
 
 
-def all_eliminated(results: Sequence[CaseResult]) -> bool:
-    return all(r.verdict is Verdict.ELIMINATED for r in results)
-
-
 def report_record(result: CaseResult) -> dict[str, Any]:
     """One serializable report record per case result."""
     record: dict[str, Any] = {

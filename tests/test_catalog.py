@@ -116,7 +116,7 @@ def test_every_template_evaluates_across_its_window():
             for a, b, *d in forms:
                 assert a == 0 or spec.n is not None, (str(spec), t["label"])
                 assert (a * (spec.n or 0) + b) % (d[0] if d else 1) == 0, (str(spec), t["label"])
-            assert "e" not in coeffs or t["sign"] or spec.eps in ("+", "-"), t["label"]
+            assert "e" not in coeffs or t.get("sign") or spec.eps in ("+", "-"), t["label"]
             size = involution_class_size(t, spec)
             assert type(size) is int and size > 0, (str(spec), t["label"])
             reached.add(t["label"])

@@ -136,6 +136,25 @@ def test_verify_all_flushes_each_record_as_its_case_ends(monkeypatch, fmt, first
     assert "TOY-SECOND" in sink.getvalue()
 
 
+@pytest.mark.parametrize("fmt, summary", [
+    ("structured", '{"cases": 2, "eliminated": 1, "inconclusive": 0, "ok": false, '
+                   '"record": "summary", "violated": 1}\n'),
+    ("text", "2 cases: 1 eliminated, 1 violated, 0 inconclusive\n"),
+], ids=["structured", "text"])
+def test_verify_all_summary_counts_a_violated_case(monkeypatch, capsys, fmt, summary):
+    # a ledger with one failing case ends in a summary that is not ok, exit 1
+    from planesieve import ledger
+    reg = (ledger.CaseCheck(id="TOY-FINE", section="s", anchor="a", parameters="p",
+                            check=lambda rec, _bound: None),
+           ledger.CaseCheck(id="TOY-BAD", section="s", anchor="a", parameters="p",
+                            check=lambda rec, _bound: rec.fail("broken", 1)))
+    monkeypatch.setattr(ledger, "_default_registry", lambda: reg)
+    code, out, _ = _run(capsys, "verify-all", "--format", fmt)
+    assert code == 1
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 3 and lines[-1] == summary
+
+
 def test_ledger_output_golden_digest(capsys):
     # byte-for-byte pin of every ledger report: the structured records of
     # verify-all without timings, and the exit code and text of verify for
@@ -742,7 +761,8 @@ def test_oversized_group_value_fails_in_bounded_time():
     assert "int-to-str" in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["order", "E8", "1021"], ["order", "PSU", "20", "128"]])
+@pytest.mark.parametrize("argv", [["order", "E8", "1021"], ["order", "PSU", "20", "128"],
+                                  ["order", "PSL", "16", "1024"]])
 def test_large_group_orders_answer_in_bounded_time(argv):
     proc = _cli_process(argv)
     assert proc.returncode == 0
