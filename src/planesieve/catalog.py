@@ -7,8 +7,10 @@ keys eps, n_exact, n_min, n_parity, q_parity and q_mod4, and raises on
 any other.  Exponents are linear forms [a, b] meaning a*n + b, or
 [a, b, d] meaning (a*n + b)/d, exact on every n the window admits; a
 coefficient "e" is the form sign (+1 or -1): the optional sign key, or
-else the group's eps.  A formula is const[0] times the factors over
-const[1] times the optional divide factors, one exact integer division.
+else the group's eps, so a plus/minus pair shares one formula record.
+A formula, with the optional const defaulting to [1, 1], is const[0]
+times the factors over const[1] times the optional divide factors, one
+exact integer division.
 
 Entries flagged exact give the class size n_g itself; entries flagged
 as divisor bounds give a stated multiple of n_g, and downstream
@@ -22,6 +24,34 @@ from typing import Any
 
 from .exactmath import geom_sum
 from .groups import GroupSpec
+
+# A sign pair is one formula in the sign "e" (GLS, CFSG No. 3, Table 4.5.1).
+_OMEGA_ODD: dict[str, Any] = {
+    "family": "POmega",
+    "exact": True,
+    "parity": "mixed",
+    "valid": {"eps": "o", "n_min": 7, "n_parity": "odd", "q_parity": "odd"},
+    "const": [1, 2],
+    "factors": [
+        {"kind": "qpow", "exp": [1, -1, 2]},
+        {"kind": "poly", "terms": [[1, [1, -1, 2]], ["e", [0, 0]]]},
+    ],
+}
+_E7: dict[str, Any] = {
+    "family": "E7",
+    "exact": False,
+    "parity": "even",
+    "valid": {"q_parity": "odd"},
+    "factors": [
+        {"kind": "gcd", "k": 4, "shift": -1},
+        {"kind": "qpow", "exp": [0, 35]},
+        {"kind": "poly", "terms": [[1, [0, 7]], ["e", [0, 0]]]},
+        {"kind": "poly", "terms": [[1, [0, 5]], ["e", [0, 0]]]},
+        {"kind": "poly", "terms": [[1, [0, 3]], ["e", [0, 0]]]},
+        {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
+        {"kind": "poly", "terms": [[1, [0, 12]], [1, [0, 6]], [1, [0, 0]]]},
+    ],
+}
 
 CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
     {
@@ -60,7 +90,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "rank-one projective line, even q: involutions are the "
                   "nontrivial unipotents, class size q^2-1",
         "valid": {"n_exact": 2, "q_parity": "even"},
-        "const": [1, 1],
         "factors": [
             {"kind": "poly", "terms": [[1, [0, 2]], [-1, [0, 0]]]},
         ],
@@ -73,7 +102,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "dimension 3, odd q: involution with eigenvalues -1,-1,1, "
                   "class size q^2(q^2+q+1)",
         "valid": {"n_exact": 3, "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [0, 2]},
             {"kind": "poly", "terms": [[1, [0, 2]], [1, [0, 1]], [1, [0, 0]]]},
@@ -87,7 +115,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "dimension 3, even q: involutions are transvections, "
                   "class size (q^2-1)(q^2+q+1)",
         "valid": {"n_exact": 3, "q_parity": "even"},
-        "const": [1, 1],
         "factors": [
             {"kind": "poly", "terms": [[1, [0, 2]], [-1, [0, 0]]]},
             {"kind": "poly", "terms": [[1, [0, 2]], [1, [0, 1]], [1, [0, 0]]]},
@@ -101,7 +128,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "odd dimension >= 5, odd q: involution negating two "
                   "coordinates, class size q^(n-1)(1+q+...+q^(n-1))",
         "valid": {"n_min": 5, "n_parity": "odd", "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [1, -1]},
             {"kind": "geom", "top": [1, -1], "step": 1},
@@ -132,7 +158,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
                   "coordinates, class size "
                   "q^(2n-4)(1+q+...+q^(n-2))(1+q^2+...+q^(n-2))",
         "valid": {"n_min": 6, "n_parity": "even", "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [2, -4]},
             {"kind": "geom", "top": [1, -2], "step": 1},
@@ -147,7 +172,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "dimension >= 4, even q: involutions of residue rank one "
                   "are transvections, class size (q^(n-1)-1)(1+q+...+q^(n-1))",
         "valid": {"n_min": 4, "q_parity": "even"},
-        "const": [1, 1],
         "factors": [
             {"kind": "poly", "terms": [[1, [1, -1]], [-1, [0, 0]]]},
             {"kind": "geom", "top": [1, -1], "step": 1},
@@ -176,7 +200,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
                   "2 perp (n-2) block stabilizer, class size "
                   "q^(n-2)(1+q^2+...+q^(n-2))",
         "valid": {"n_min": 6, "n_parity": "even", "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [1, -2]},
             {"kind": "geom", "top": [1, -2], "step": 2},
@@ -191,7 +214,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
                   "coordinates, class size "
                   "q^(2n-4)(q^n-1)(q^(n-1)+1)/((q+1)(q^2-1))",
         "valid": {"n_min": 6, "n_parity": "even", "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [2, -4]},
             {"kind": "poly", "terms": [[1, [1, 0]], [-1, [0, 0]]]},
@@ -210,7 +232,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "unitary dimension >= 3 odd, odd q: involution with a single "
                   "positive eigenvalue; class size divides q^(n-1)(q^n+1)/(q+1)",
         "valid": {"n_min": 3, "n_parity": "odd", "q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [1, -1]},
             {"kind": "poly", "terms": [[1, [1, 0]], [1, [0, 0]]]},
@@ -220,36 +241,20 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         ],
     },
     {
+        **_OMEGA_ODD,
         "label": "omega-odd-plus",
-        "family": "POmega",
         "sign": 1,
-        "exact": True,
-        "parity": "mixed",
         "anchor": "odd orthogonal dimension >= 7, odd q: involution whose "
                   "fixed line is nonsingular with plus-type complement, class "
                   "size q^((n-1)/2)(q^((n-1)/2)+1)/2",
-        "valid": {"eps": "o", "n_min": 7, "n_parity": "odd", "q_parity": "odd"},
-        "const": [1, 2],
-        "factors": [
-            {"kind": "qpow", "exp": [1, -1, 2]},
-            {"kind": "poly", "terms": [[1, [1, -1, 2]], ["e", [0, 0]]]},
-        ],
     },
     {
+        **_OMEGA_ODD,
         "label": "omega-odd-minus",
-        "family": "POmega",
         "sign": -1,
-        "exact": True,
-        "parity": "mixed",
         "anchor": "odd orthogonal dimension >= 7, odd q: involution whose "
                   "fixed line is nonsingular with minus-type complement, class "
                   "size q^((n-1)/2)(q^((n-1)/2)-1)/2",
-        "valid": {"eps": "o", "n_min": 7, "n_parity": "odd", "q_parity": "odd"},
-        "const": [1, 2],
-        "factors": [
-            {"kind": "qpow", "exp": [1, -1, 2]},
-            {"kind": "poly", "terms": [[1, [1, -1, 2]], ["e", [0, 0]]]},
-        ],
     },
     {
         "label": "g2",
@@ -259,7 +264,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "G2, odd q: one involution class, centralizer a central "
                   "product of two SL(2,q) with a swap, size q^4(q^4+q^2+1)",
         "valid": {"q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [0, 4]},
             {"kind": "poly", "terms": [[1, [0, 4]], [1, [0, 2]], [1, [0, 0]]]},
@@ -273,7 +277,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "F4, odd q: involution with centralizer of spin type in "
                   "dimension 9, class size q^8(q^8+q^4+1)",
         "valid": {"q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [0, 8]},
             {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
@@ -287,7 +290,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         "anchor": "triality D4, odd q: single involution class, centralizer "
                   "SL(2,q^3) o SL(2,q) with a swap, size q^8(q^8+q^4+1)",
         "valid": {"q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [0, 8]},
             {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
@@ -302,7 +304,6 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
                   "the spin group in dimension 10 of matching sign, class size "
                   "q^16(q^6+eq^3+1)(q^2+eq+1)(q^8+q^4+1)",
         "valid": {"q_parity": "odd"},
-        "const": [1, 1],
         "factors": [
             {"kind": "qpow", "exp": [0, 16]},
             {"kind": "poly", "terms": [[1, [0, 6]], ["e", [0, 3]], [1, [0, 0]]]},
@@ -311,44 +312,18 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         ],
     },
     {
+        **_E7,
         "label": "e7-plus",
-        "family": "E7",
         "sign": 1,
-        "exact": False,
-        "parity": "even",
         "anchor": "E7, odd q, plus-sign reading: class size divides "
                   "(4,q-1)q^35(q^7+1)(q^5+1)(q^3+1)(q^8+q^4+1)(q^12+q^6+1)",
-        "valid": {"q_parity": "odd"},
-        "const": [1, 1],
-        "factors": [
-            {"kind": "gcd", "k": 4, "shift": -1},
-            {"kind": "qpow", "exp": [0, 35]},
-            {"kind": "poly", "terms": [[1, [0, 7]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 5]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 3]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 12]], [1, [0, 6]], [1, [0, 0]]]},
-        ],
     },
     {
+        **_E7,
         "label": "e7-minus",
-        "family": "E7",
         "sign": -1,
-        "exact": False,
-        "parity": "even",
         "anchor": "E7, odd q, minus-sign reading: class size divides "
                   "(4,q-1)q^35(q^7-1)(q^5-1)(q^3-1)(q^8+q^4+1)(q^12+q^6+1)",
-        "valid": {"q_parity": "odd"},
-        "const": [1, 1],
-        "factors": [
-            {"kind": "gcd", "k": 4, "shift": -1},
-            {"kind": "qpow", "exp": [0, 35]},
-            {"kind": "poly", "terms": [[1, [0, 7]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 5]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 3]], ["e", [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
-            {"kind": "poly", "terms": [[1, [0, 12]], [1, [0, 6]], [1, [0, 0]]]},
-        ],
     },
     {
         "label": "e8",
@@ -427,7 +402,7 @@ def involution_class_size(template: dict[str, Any], spec: GroupSpec) -> int:
         raise ValueError(f"{template['label']} does not cover {spec}")
     n, q = spec.n, spec.q
     sign = template.get("sign") or spec.sign
-    num, den = template["const"]
+    num, den = template.get("const", (1, 1))
     num *= prod(_eval_factor(factor, n, q, sign) for factor in template["factors"])
     den *= prod(_eval_factor(factor, n, q, sign) for factor in template.get("divide", ()))
     size, rest = divmod(num, den)
@@ -448,7 +423,7 @@ def catalog_records() -> list[dict[str, Any]]:
             "parity": t["parity"],
             "anchor": t["anchor"],
             "formula": {
-                "const": list(t["const"]),
+                "const": list(t.get("const", (1, 1))),
                 "factors": [dict(f) for f in t["factors"]],
                 "divide": [dict(f) for f in t.get("divide", ())],
             },

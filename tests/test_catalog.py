@@ -2,6 +2,7 @@
 divisibility."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -52,6 +53,14 @@ FROZEN = [
      7**16 * (7**2 - 7 + 1) * (7**6 - 7**3 + 1) * (7**8 + 7**4 + 1)),
     (("E6", {"q": 7, "eps": "+"}), "e6",
      7**16 * (7**2 + 7 + 1) * (7**6 + 7**3 + 1) * (7**8 + 7**4 + 1)),
+    (("E7", {"q": 7}), "e7-plus",
+     gcd(4, 7 - 1) * 7**35 * (7**7 + 1) * (7**5 + 1) * (7**3 + 1)
+     * (7**8 + 7**4 + 1) * (7**12 + 7**6 + 1)),
+    (("E7", {"q": 7}), "e7-minus",
+     gcd(4, 7 - 1) * 7**35 * (7**7 - 1) * (7**5 - 1) * (7**3 - 1)
+     * (7**8 + 7**4 + 1) * (7**12 + 7**6 + 1)),
+    (("E8", {"q": 7}), "e8",
+     2 * 7**56 * (7**10 + 1) * (7**12 + 1) * (7**6 + 1) * (7**30 - 1) // (7**2 - 1)),
 ]
 
 
@@ -122,6 +131,17 @@ def test_every_template_evaluates_across_its_window():
             reached.add(t["label"])
     assert reached == {t["label"] for t in CLASS_TEMPLATES}
     assert len(reached) == 22
+
+
+def test_parity_flags_match_the_sizes():
+    # "odd" and "even" templates give sizes of that parity alone across
+    # n <= 20, q <= 128 and each eps; a "mixed" one gives both
+    seen = {}
+    for spec in _valid_specs(128, 20):
+        for t in classes_for(spec):
+            seen.setdefault(t["label"], set()).add(involution_class_size(t, spec) % 2)
+    want = {"odd": {1}, "even": {0}, "mixed": {0, 1}}
+    assert {t["label"]: want[t["parity"]] for t in CLASS_TEMPLATES} == seen
 
 
 def test_cover_test_rejects_an_unknown_validity_key(monkeypatch):

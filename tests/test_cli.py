@@ -567,6 +567,8 @@ def test_catalog_text(capsys):
     assert code == 0
     assert "22 involution classes" in out
     assert "psl2-odd-plus" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8d8ff37b73186ffe1cc3c335e873a62f631112e4e6e35daa76ab0026b8be5b3f")
 
 
 def test_catalog_structured(capsys):
@@ -574,6 +576,8 @@ def test_catalog_structured(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert records[-1] == {"record": "summary", "classes": 22}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "558f1f8fe93904c4a21b7186d26c30c7cb6fad91d197cab2e7fc3a158ea8bb1e")
 
 
 def test_usage_error_exit_code():
