@@ -11,9 +11,10 @@ Summaries are tallied as records are written; `sieve_orders` still
 builds the list of every row, and a stream that stops without its
 summary record is incomplete.  A scan encodes each distinct filter
 trace once per invocation, as JSON or as its text form; the trace pairs
-themselves come prebuilt from the gate's verdicts.  Each row line is
-then one f-string holding the bytes `json.dumps(record, sort_keys=True)`
-would give.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
+themselves come prebuilt, from constant tables and the gate's verdicts.
+Each row line is then one f-string holding the bytes
+`json.dumps(record, sort_keys=True)` would give, written with one
+`write` call that includes its newline.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
 3 internal error, such as a group value past Python's int-to-str digit
 limit.  The argument parser is built on the first `main` call and
 reused by every later call in the process.  Subcommands import their
@@ -119,6 +120,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # Few distinct filter traces occur in one scan, so each is encoded once.
     encoded: dict[tuple[tuple[str, bool], ...], str] = {}
     rows = survivors = 0
+    put = sys.stdout.write  # one call per row line, newline included
 
     def write(row: SieveRow) -> None:
         nonlocal rows, survivors
@@ -131,13 +133,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 " ".join(f"{name}{'+' if passed else '-'}" for name, passed in row.filter_trace))
         if structured:
             # json.dumps(record, sort_keys=True), written out key by key
-            factors = ", ".join(f"[{p}, {e}]" for p, e in row.v_factors.factors)
-            print(f'{{"filters": {trace}, "record": "row", '
-                  f'"survived": {"true" if row.survived else "false"}, '
-                  f'"u": {row.u}, "v": {row.v}, "v_factors": [{factors}]}}')
+            factors = ", ".join([f"[{p}, {e}]" for p, e in row.v_factors.factors])
+            put(f'{{"filters": {trace}, "record": "row", '
+                f'"survived": {"true" if row.survived else "false"}, '
+                f'"u": {row.u}, "v": {row.v}, "v_factors": [{factors}]}}\n')
         else:
             tag = "survives" if row.survived else "ELIMINATED"
-            print(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}")
+            put(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}\n")
 
     sieve_orders(args.u_min, args.u_max, candidates, emit=write)
     if structured:

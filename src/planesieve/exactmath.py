@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from math import gcd, isqrt, prod
 
 _TRIAL_LIMIT = 10_000
@@ -141,24 +141,32 @@ class Factorization:
         return out
 
 
-def _factor_into(m: int, depth: int, acc: dict[int, int]) -> None:
-    """Add the prime factors of m >= 1 to acc, given that m has no prime
-    factor up to min(depth, isqrt(m)): below (depth + 1)**2 it is 1 or prime,
-    else is_prime decides and rho splits it into parts that keep the premise."""
+def _factor_into(m: int, depth: int, acc: list[tuple[int, int]]) -> None:
+    """Append the prime factors of m >= 1 to acc as (p, e) pairs in increasing
+    p, given that m has no prime factor up to min(depth, isqrt(m)): below
+    (depth + 1)**2 it is 1 or prime, else is_prime decides and rho splits it
+    into parts that keep the premise, whose primes are merged and sorted.
+    acc stays sorted when its primes lie below those of m."""
     if m == 1:
         return
     if m < (depth + 1) ** 2 or is_prime(m):
-        acc[m] = acc.get(m, 0) + 1
+        acc.append((m, 1))
         return
     d = _brent_rho(m)
-    _factor_into(d, depth, acc)
-    _factor_into(m // d, depth, acc)
+    parts: list[tuple[int, int]] = []
+    _factor_into(d, depth, parts)
+    _factor_into(m // d, depth, parts)
+    merged: dict[int, int] = {}
+    for p, e in parts:
+        merged[p] = merged.get(p, 0) + e
+    acc += sorted(merged.items())
 
 
 def trial_divide(n: int) -> tuple[dict[int, int], int]:
     """({p: e}, m) with n = m * prod(p**e), each p <= 10**4, for n >= 1: one gcd
     per block of 32 primes, up to the first block whose first prime squared
-    exceeds m, so m has no prime factor up to min(10**4, isqrt(m))."""
+    exceeds m, so m has no prime factor up to min(10**4, isqrt(m)).  The
+    primes come in increasing order, each below every prime of m."""
     acc: dict[int, int] = {}
     for first_squared, block, primes in _TRIAL_BLOCKS:
         if first_squared > n:
@@ -183,9 +191,10 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize expects n >= 0, got {n}")
     if n <= 1:
         return Factorization(n, ())
-    acc, m = trial_divide(n)
+    small, m = trial_divide(n)
+    acc = list(small.items())
     _factor_into(m, _TRIAL_LIMIT, acc)
-    return Factorization(n, tuple(sorted(acc.items())))
+    return Factorization(n, tuple(acc))
 
 
 def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
@@ -194,8 +203,10 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
     A root-class sieve (the sieving step of the quadratic sieve): only 3,
     at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
     != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  Primes
-    up to min(10**4, isqrt(Phi_3(hi))) are sieved out block by block, and
-    each cofactor is finished by the rule factorize uses.
+    up to min(10**4, isqrt(Phi_3(hi))) are sieved out block by block, in
+    increasing p, so each value's primes are collected in order and need
+    no sorting; each cofactor, whose primes all lie above the sieved ones,
+    is finished by the rule factorize uses.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
@@ -203,21 +214,24 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
     roots = [(3, 1)]
     for p in small_primes(depth):
         if p % 3 == 1:
-            w = next(w for g in count(2) if (w := pow(g, (p - 1) // 3, p)) != 1)
+            g = 2
+            while (w := pow(g, (p - 1) // 3, p)) == 1:
+                g += 1
             roots += [(p, w), (p, p - 1 - w)]
     for start in range(lo, hi + 1, _SIEVE_BLOCK):
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
         rest = [x * x + x + 1 for x in xs]
-        found: list[dict[int, int]] = [{} for _ in xs]
+        found: list[list[tuple[int, int]]] = [[] for _ in xs]
         for p, r in roots:
             for i in range((r - start) % p, len(xs), p):
                 m, e = rest[i] // p, 1
                 while m % p == 0:
                     m, e = m // p, e + 1
-                rest[i], found[i][p] = m, e
+                rest[i] = m
+                found[i].append((p, e))
         for x, m, acc in zip(xs, rest, found):
             _factor_into(m, depth, acc)
-            yield Factorization(x * x + x + 1, tuple(sorted(acc.items())))
+            yield Factorization(x * x + x + 1, tuple(acc))
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:

@@ -50,8 +50,7 @@ def plane_orders(u_min: int, u_max: int) -> Iterator[PlaneOrder]:
         v = x * x + x + 1
         assert v == plus.value * minus.value and gcd(plus.value, minus.value) == 1
         v_factors = Factorization(v, tuple(sorted(plus.factors + minus.factors)))
-        yield PlaneOrder(u=u, v=v, v_factors=v_factors,
-                         plus_factors=plus, minus_factors=minus)
+        yield PlaneOrder(u, v, v_factors, plus, minus)
 
 
 def plane_order(u: int) -> PlaneOrder:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
@@ -108,26 +109,25 @@ def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
     return cand.verdicts[passed]
 
 
+# The entries the four filters before the gate can put in a trace, by outcome.
+_COPRIME = (("coprime-halves", False), ("coprime-halves", True))
+_ADMISSIBLE = (("admissible-value", False), ("admissible-value", True))
+_LJUNGGREN = {cls: (f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PRIME_POWER)
+              for cls in LjunggrenClass}
+_KANTOR = {None: ("kantor-not-applicable", True), False: ("kantor", False), True: ("kantor", True)}
+
+
 def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
     factors = plane.v_factors
-    trace = [("coprime-halves", gcd(plane.plus_factors.value, plane.minus_factors.value) == 1),
-             ("admissible-value", admissible_index(factors))]
-
-    cls = ljunggren_classify(plane.plus_factors)
-    trace.append((f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PRIME_POWER))
-
-    repeated = [(p, e) for p, e in factors.factors if e >= 2]
-    if not repeated:
-        trace.append(("kantor-not-applicable", True))
-    else:
-        holds = all(kantor_cofactor_holds(p**e, plane.v // p**e, plane.u) for p, e in repeated)
-        trace.append(("kantor", holds))
-
-    trace += [candidate_gate(plane, cand).entry for cand in candidates]
-
-    return SieveRow(u=plane.u, v=plane.v, v_factors=factors,
-                    filter_trace=tuple(trace),
-                    survived=all(ok for _, ok in trace))
+    repeated = [p**e for p, e in factors.factors if e >= 2]
+    kantor = (all(kantor_cofactor_holds(pe, plane.v // pe, plane.u) for pe in repeated)
+              if repeated else None)
+    trace = (_COPRIME[gcd(plane.plus_factors.value, plane.minus_factors.value) == 1],
+             _ADMISSIBLE[admissible_index(factors)],
+             _LJUNGGREN[ljunggren_classify(plane.plus_factors)],
+             _KANTOR[kantor],
+             *[candidate_gate(plane, cand).entry for cand in candidates])
+    return SieveRow(plane.u, plane.v, factors, trace, all(map(itemgetter(1), trace)))
 
 
 def sieve_orders(u_min: int, u_max: int,

@@ -322,6 +322,10 @@ def test_scan_writes_each_row_as_it_is_sieved(monkeypatch, fmt, first_row, summa
     assert sink.writes[0][0] == 1  # the first row is out before the second is built
     [at_summary] = [n for n, s in sink.writes if s.startswith(summary)]
     assert at_summary == 59 and texts[-2].startswith(summary)
+    # each row line is one write, its newline included
+    rows = texts[:-2]
+    assert len(rows) == 59
+    assert all(s.endswith("\n") and s.count("\n") == 1 for s in rows)
 
 
 def test_scan_failing_midway_leaves_the_rows_before_it(monkeypatch, capsys):

@@ -225,6 +225,29 @@ def test_factorize_small_factor_products_match_sympy(primes, big):
     assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
 
 
+def test_factorize_rho_splits_above_psi_13_match_sympy():
+    # no prime up to 10**4 and no small cofactor: every factor comes from rho
+    # splitting a composite above psi_13, and the split parts are merged.
+    # Three primes below 10**7 stay under 10**21 < psi_13, so the products
+    # take four or five, and the last one repeats a prime: p**2 * q * r
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+
+    def prime():
+        return sympy.nextprime(rng.randrange(10**6, 10**7 - 10**3))
+
+    products = []
+    while len(products) < 20:
+        n = prod(prime() for _ in range(rng.randrange(4, 6)))
+        if n > _PSI[-1]:
+            products.append(n)
+    p, q, r = prime(), prime(), prime()
+    products.append(p * p * q * r)
+    assert products[-1] > _PSI[-1]
+    for n in products:
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+
+
 def test_trial_divide_leaves_a_cofactor_without_small_factors():
     rng = random.Random(24)
     for n in _trial_edge_values() + [rng.randrange(1, 10**30) for _ in range(300)]:
@@ -269,10 +292,16 @@ def _phi3(x):
     return x * x + x + 1
 
 
-@pytest.mark.parametrize("lo, hi", [(1, 3000), (949_999, 951_000), (999_000, 10**6)])
+@pytest.mark.parametrize("lo, hi", [(1, 3000), (949_999, 951_000), (999_000, 10**6),
+                                    (259_650, 259_750), (904_700, 904_800),
+                                    (949_999, 952_100)])
 def test_phi3_sieve_matches_factorize(lo, hi):
     # (1, 3000) sieves only to depth isqrt(Phi_3(3000)) = 3000, so every
-    # cofactor there is taken as prime by the (depth + 1)**2 rule
+    # cofactor there is taken as prime by the (depth + 1)**2 rule.  Rho
+    # splits a cofactor into a repeated prime above 10**4 at x = 259694
+    # (139 * 22027**2) and x = 904741 (3 * 2389 * 10687**2), whose parts
+    # are merged; (949_999, 952_100) crosses a 2048-value block boundary at
+    # depth 10**4, with cofactors that need is_prime and rho.
     assert list(phi3_factorizations(lo, hi)) == [factorize(_phi3(x)) for x in range(lo, hi + 1)]
 
 
@@ -291,7 +320,10 @@ def test_phi3_sieve_windows(lo, width):
 def test_phi3_sieve_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(8)
-    windows = [(0, 400), (999_700, 10**6)]
+    # the two middle windows hold rho splits into a repeated prime above 10**4,
+    # which test_phi3_sieve_matches_factorize cannot check, as factorize
+    # finishes its cofactors by the same rule
+    windows = [(0, 400), (259_690, 259_699), (904_740, 904_749), (999_700, 10**6)]
     windows += [(lo, lo + 50) for lo in (rng.randrange(1, 10**6) for _ in range(6))]
     for lo, hi in windows:
         for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
