@@ -441,9 +441,8 @@ def _u_parab_mod(rec: Record, n_max: int) -> None:
     for a in (1, 3, 5, 7, 9):
         # index = (q^n_even - 1)/(q^2 - 1) * (q^n_odd + 1) with q = 2^a, split
         # into the values Phi_d(2): the pieces of 2^(a n_even) - 1 less those
-        # of 2^(2a) - 1, then the plus-pieces of 2^(a n_odd) + 1
-        q_squared = cyclotomic_pieces(2, 2 * a)
-        minus = {m: [x for d, x in cyclotomic_pieces(2, a * m).items() if d not in q_squared]
+        # of 2^(2a) - 1 (the d dividing 2a), then the plus-pieces of 2^(a n_odd) + 1
+        minus = {m: [x for d, x in cyclotomic_pieces(2, a * m).items() if (2 * a) % d]
                  for m in range(2, n_max + 1, 2)}
         plus = {m: list(cyclotomic_pieces(2, a * m, plus=True).values())
                 for m in range(3, n_max + 1, 2)}

@@ -2,20 +2,19 @@
 
 Subcommands replay the elimination ledger, run the order sieve, and
 answer exact-arithmetic queries (orders, parabolic indices, involution
-class sizes, factorizations).  Structured output is a line-delimited
-record stream with a trailing summary record.  `verify-all` writes and
-flushes each case's record as soon as that case ends, in registry order
-at any `--jobs`.  `scan` writes each row as soon as it is sieved, but
-does not flush per row, so on a pipe rows arrive a buffer at a time.
-Summaries are tallied as records are written; `sieve_orders` still
-builds the list of every row, and a stream that stops without its
-summary record is incomplete.  A scan encodes each distinct filter
-trace once per invocation, as JSON or as its text form; the trace pairs
-themselves come prebuilt, from constant tables and the gate's verdicts.
-Each row line is then one f-string holding the bytes
-`json.dumps(record, sort_keys=True)` would give, written with one
-`write` call that includes its newline.  Exit codes: 0 success, 1 verdict failure, 2 usage error,
-3 internal error, such as a group value past Python's int-to-str digit
+class sizes, factorizations).  Every record and summary goes through
+one writer, `_write`, which prints the text form or, under `--format
+structured`, the record as sorted-key JSON; only scan rows, up to 10^6
+a run, have a writer of their own that gives the same bytes.
+Structured output is a line-delimited record stream with a trailing
+summary record.  `verify-all` writes and flushes each case's record as
+soon as that case ends, in registry order at any `--jobs`.  `scan`
+writes each row as soon as it is sieved, but does not flush per row, so
+on a pipe rows arrive a buffer at a time.  Summaries are tallied as
+records are written; `sieve_orders` still builds the list of every row,
+and a stream that stops without its summary record is incomplete.  Exit
+codes: 0 success, 1 verdict failure, 2 usage error (a ValueError), 3
+internal error, such as a group value past Python's int-to-str digit
 limit.  The argument parser is built on the first `main` call and
 reused by every later call in the process.  Subcommands import their
 layers when they run, so importing `planesieve.cli` loads no
@@ -61,9 +60,11 @@ def _parse_candidates(text: str) -> list[GroupSpec]:
             for part in text.split(",") if part.strip()]
 
 
-def _emit(record: dict) -> None:
-    import json
-    print(json.dumps(record, sort_keys=True))
+def _write(args: argparse.Namespace, record: dict, text: str) -> None:
+    if args.format == "structured":
+        import json
+        text = json.dumps(record, sort_keys=True)
+    print(text)
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
@@ -76,39 +77,30 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     counts = {"eliminated": 0, "violated": 0, "inconclusive": 0}
     for res in ledger.verify_all(jobs=args.jobs, u_max=args.u_max, q_max=args.q_max):
         counts[res.verdict.value] += 1
-        if args.format == "structured":
-            _emit(ledger.report_record(res))
-        else:
-            line = f"{res.verdict.value.upper():12s} {res.id:16s} ({res.elapsed_ms:8.1f} ms)"
-            if res.bound is not None:
-                line += f"  bound={res.bound}"
-            print(line)
+        bound = "" if res.bound is None else f"  bound={res.bound}"
+        _write(args, ledger.report_record(res),
+               f"{res.verdict.value.upper():12s} {res.id:16s} ({res.elapsed_ms:8.1f} ms){bound}")
         # each record goes out as its case ends, even into a pipe
         sys.stdout.flush()
     cases = sum(counts.values())
     ok = counts["eliminated"] == cases
-    if args.format == "structured":
-        _emit({"record": "summary", "cases": cases, "ok": ok, **counts})
-    else:
-        print(f"{cases} cases: {counts['eliminated']} eliminated, "
-              f"{counts['violated']} violated, {counts['inconclusive']} inconclusive")
+    _write(args, {"record": "summary", "cases": cases, "ok": ok, **counts},
+           f"{cases} cases: {counts['eliminated']} eliminated, "
+           f"{counts['violated']} violated, {counts['inconclusive']} inconclusive")
     return 0 if ok else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import ledger
     res = ledger.replay(args.case_id, bound=args.bound)
-    if args.format == "structured":
-        _emit(ledger.report_record(res))
-    else:
-        print(f"{res.id}: {res.verdict.value.upper()}  ({res.elapsed_ms:.1f} ms)")
-        print(f"  section:    {res.case.section}")
-        print(f"  claim:      {res.case.anchor}")
-        print(f"  parameters: {res.case.parameters}")
-        if res.bound is not None:
-            print(f"  bound:      {res.bound}")
-        for w in res.witnesses[:10]:
-            print(f"  witness:    {w}")
+    lines = [f"{res.id}: {res.verdict.value.upper()}  ({res.elapsed_ms:.1f} ms)",
+             f"  section:    {res.case.section}",
+             f"  claim:      {res.case.anchor}",
+             f"  parameters: {res.case.parameters}"]
+    if res.bound is not None:
+        lines.append(f"  bound:      {res.bound}")
+    lines += [f"  witness:    {w}" for w in res.witnesses[:10]]
+    _write(args, ledger.report_record(res), "\n".join(lines))
     return 0 if res.verdict is ledger.Verdict.ELIMINATED else 1
 
 
@@ -142,10 +134,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             put(f"u={row.u} v={row.v}={_fmt_factors(row.v_factors)} [{trace}] {tag}\n")
 
     sieve_orders(args.u_min, args.u_max, candidates, emit=write)
-    if structured:
-        _emit({"record": "summary", "rows": rows, "survivors": survivors})
-    else:
-        print(f"{rows} rows, {survivors} survive")
+    _write(args, {"record": "summary", "rows": rows, "survivors": survivors},
+           f"{rows} rows, {survivors} survive")
     return 0
 
 
@@ -190,15 +180,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     from .catalog import catalog_records
     records = catalog_records()
     for rec in records:
-        if args.format == "structured":
-            _emit({"record": "class", **rec})
-        else:
-            print(f"{rec['label']:18s} {rec['family']:8s} parity={rec['parity']:6s} "
-                  f"exact={str(rec['exact']):5s} {rec['anchor']}")
-    if args.format == "structured":
-        _emit({"record": "summary", "classes": len(records)})
-    else:
-        print(f"{len(records)} involution classes")
+        _write(args, {"record": "class", **rec},
+               f"{rec['label']:18s} {rec['family']:8s} parity={rec['parity']:6s} "
+               f"exact={str(rec['exact']):5s} {rec['anchor']}")
+    _write(args, {"record": "summary", "classes": len(records)},
+           f"{len(records)} involution classes")
     return 0
 
 
@@ -259,9 +245,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (ValueError, LookupError) as exc:
-        reason = exc.args[0] if exc.args else exc
-        print(f"error: {reason}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Keep the interpreter from complaining when it flushes the

@@ -304,13 +304,15 @@ def cyclotomic_pieces(x: int, k: int, plus: bool = False) -> dict[int, int]:
 def cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
                      den: Iterable[tuple[int, int]]) -> int:
     """prod(x**d - e for (d, e) in num) / prod(x**d - e for (d, e) in den),
-    checked to be exact."""
+    checked to be exact: an inexact ratio raises AssertionError, also
+    under python -O."""
     top = bottom = 1
     for d, e in num:
         top *= x**d - e
     for d, e in den:
         bottom *= x**d - e
-    assert top % bottom == 0
+    if top % bottom:
+        raise AssertionError("cyclotomic_ratio: the ratio is not an integer")
     return top // bottom
 
 
@@ -321,7 +323,8 @@ def factor_cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
     Each x**d - e is the product of the cyclotomic_pieces of x**d - 1 or
     x**d + 1, so the ratio is prod_k Phi_k(x)**c_k with c_k the net count
     of Phi_k.  Each Phi_k(x) with c_k != 0 is factored once, never the
-    product, and every c_k must be >= 0 (the ratio is then an integer).
+    product, and every c_k must be >= 0 (the ratio is then an integer);
+    a negative count raises AssertionError, also under python -O.
     """
     counts: dict[int, int] = {}
     values: dict[int, int] = {}
@@ -335,7 +338,8 @@ def factor_cyclotomic_ratio(x: int, num: Iterable[tuple[int, int]],
     acc: dict[int, int] = {}
     value = 1
     for k, c in counts.items():
-        assert c >= 0, f"Phi_{k} has net count {c} in the ratio"
+        if c < 0:
+            raise AssertionError(f"Phi_{k} has net count {c} in the ratio")
         if c:
             value *= values[k] ** c
             for p, e in factorize(values[k]).factors:

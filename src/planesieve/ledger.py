@@ -112,7 +112,7 @@ def get_case(case_id: str, registry: Sequence[CaseCheck] | None = None) -> CaseC
     for case in reg:
         if case.id == case_id:
             return case
-    raise KeyError(f"unknown case id {case_id!r}")
+    raise ValueError(f"unknown case id {case_id!r}")
 
 
 def replay(case_id: str, bound: int | None = None,

@@ -71,9 +71,7 @@ def test_verify_single_case(capsys):
 
 
 def test_verify_unknown_case(capsys):
-    code, _, err = _run(capsys, "verify", "NO-SUCH")
-    assert code == 2
-    assert "unknown case id" in err
+    assert _run(capsys, "verify", "NO-SUCH") == (2, "", "error: unknown case id 'NO-SUCH'\n")
 
 
 def test_verify_bound_on_fixed_case(capsys):
@@ -174,6 +172,20 @@ def test_ledger_output_golden_digest(capsys):
     assert len(texts) == 28
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
         "0cffc87aca466edf8e26269f7fedb84f5aa4b002fcf361a37bb5099fb545383e")
+
+
+def test_verify_all_text_golden_digest(capsys):
+    # byte-for-byte pin of text verify-all with its timing column masked
+    # (its width varies): the default run, six INCONCLUSIVE lines with their
+    # bounds, and PSL3-TYPE67 VIOLATED at bound=18, each with its exit code
+    texts = []
+    for argv in ((), ("--u-max", "10", "--q-max", "50"), ("--q-max", "18")):
+        code, out, _ = _run(capsys, "verify-all", *argv)
+        texts.append(f"{code}\n" + re.sub(r"\(\s*[0-9.]+ ms\)", "(_ ms)", out))
+    assert [t.count("INCONCLUSIVE") for t in texts] == [0, 6, 3]
+    assert "VIOLATED     PSL3-TYPE67      (_ ms)  bound=18\n" in texts[2]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "80b099f6a5cf19174b79722be2d30f7516122979fd69ec92db69d6f0ee7d4b97")
 
 
 def test_bounded_replay_golden_digest(capsys):
@@ -347,6 +359,31 @@ def test_scan_failing_midway_leaves_the_rows_before_it(monkeypatch, capsys):
     assert out == whole[:whole.index('{"record": "summary"')]
     assert [json.loads(line)["u"] for line in out.splitlines()] == [2, 3, 4]
     assert err.startswith("internal error: RuntimeError: row 5 broke")
+
+
+def test_internal_index_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only a ValueError is a usage error; an IndexError raised inside the
+    # sieve is an internal fault
+    from planesieve import scan
+    real = scan._row
+
+    def failing(plane, candidates):
+        if plane.u == 5:
+            return ()[0]
+        return real(plane, candidates)
+
+    monkeypatch.setattr(scan, "_row", failing)
+    code, _, err = _run(capsys, "scan", "--u-min", "2", "--u-max", "60")
+    assert code == 3
+    assert err.startswith("internal error: IndexError: ")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    def failing(spec):
+        raise KeyError("x")
+
+    monkeypatch.setattr(groups, "order_factorization", failing)
+    assert _run(capsys, "order", "PSL", "2", "13") == (3, "", "internal error: KeyError: 'x'\n")
 
 
 # Candidate lists for the row-encoder reference.  The first adds three

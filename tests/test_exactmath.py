@@ -1,7 +1,11 @@
 """Arithmetic primitives against independent small-scale oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -468,6 +472,26 @@ def test_factor_cyclotomic_ratio_rejects_bad_terms():
         cyclotomic_ratio(3, [(4, 1)], [(3, 1)])
     with pytest.raises(ValueError):
         factor_cyclotomic_ratio(3, [(4, 2)], [])
+
+
+def test_cyclotomic_ratio_checks_survive_optimized_mode():
+    # python -O strips assert statements; both exactness checks still raise
+    code = """
+from planesieve.exactmath import cyclotomic_ratio, factor_cyclotomic_ratio
+for f in (cyclotomic_ratio, factor_cyclotomic_ratio):
+    try:
+        f(3, [(4, 1)], [(3, 1)])
+    except AssertionError as exc:
+        print(f.__name__, exc)
+"""
+    src = str(Path(exactmath.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("cyclotomic_ratio cyclotomic_ratio: the ratio is not an integer\n"
+                           "factor_cyclotomic_ratio Phi_3 has net count -1 in the ratio\n")
 
 
 def test_factorization_is_immutable():

@@ -134,7 +134,7 @@ def test_bound_must_be_positive():
 
 
 def test_unknown_case_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown case id 'NO-SUCH-CASE'"):
         ledger.replay("NO-SUCH-CASE")
 
 
