@@ -141,11 +141,13 @@ _ID7 = tuple(range(7))
 def _doubles(perms) -> int:
     """How many of perms are double transpositions on 7 points: the
     involutions that move exactly four points.  A product of two
-    transpositions is even, so no parity filter is needed.  The cheap
-    moved-point count goes first, so the square of p is built only for
-    the permutations that move exactly four points."""
+    transpositions is even, so no parity filter is needed.  The guards
+    p[p[0]] == 0 and p[p[1]] == 1 go first (every involution passes
+    them, 600 of the 5040 permutations do), then the moved-point count,
+    and the square of p is built last."""
     return sum(1 for p in perms
-               if sum(map(ne, p, _ID7)) == 4
+               if p[p[0]] == 0 and p[p[1]] == 1
+               and sum(map(ne, p, _ID7)) == 4
                and tuple(map(p.__getitem__, p)) == _ID7)
 
 
@@ -438,13 +440,17 @@ def _u_parab_mod(rec: Record, n_max: int) -> None:
     passes, undecided = [], []
     fail_count = 0
 
+    # index = (q^n_even - 1)/(q^2 - 1) * (q^n_odd + 1) with q = 2^a, split
+    # into the values Phi_d(2): the pieces of 2^(a n_even) - 1 less those of
+    # 2^(2a) - 1 (the d dividing 2a), then the pieces of 2^(2a n_odd) - 1 whose
+    # d does not divide a n_odd, which multiply to 2^(a n_odd) + 1.  Each
+    # 2^k - 1 is split once per replay, k = a m for even m and 2 a m for odd m
+    pieces = {k: cyclotomic_pieces(2, k) for k in
+              {a * m * (1 + m % 2) for a in (1, 3, 5, 7, 9) for m in range(2, n_max + 1)}}
     for a in (1, 3, 5, 7, 9):
-        # index = (q^n_even - 1)/(q^2 - 1) * (q^n_odd + 1) with q = 2^a, split
-        # into the values Phi_d(2): the pieces of 2^(a n_even) - 1 less those
-        # of 2^(2a) - 1 (the d dividing 2a), then the plus-pieces of 2^(a n_odd) + 1
-        minus = {m: [x for d, x in cyclotomic_pieces(2, a * m).items() if (2 * a) % d]
+        minus = {m: [x for d, x in pieces[a * m].items() if (2 * a) % d]
                  for m in range(2, n_max + 1, 2)}
-        plus = {m: list(cyclotomic_pieces(2, a * m, plus=True).values())
+        plus = {m: [x for d, x in pieces[2 * a * m].items() if (a * m) % d]
                 for m in range(3, n_max + 1, 2)}
         for n in range(3, n_max + 1):
             n_even, n_odd = (n, n - 1) if n % 2 == 0 else (n - 1, n)

@@ -230,7 +230,10 @@ def brute_subspace_count(n, m, q):
     return len(subspaces)
 
 
-def _cycle_lengths(perm):
+def cycle_type(perm):
+    """The cycle lengths of a permutation of range(len(perm)), largest
+    first, found by walking each cycle from its least point; a double
+    transposition on 7 points has cycle type (2, 2, 1, 1, 1)."""
     seen = [False] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -243,28 +246,33 @@ def _cycle_lengths(perm):
             i = perm[i]
             length += 1
         out.append(length)
-    return sorted(out)
+    return tuple(sorted(out, reverse=True))
 
 
-def _parity(perm):
-    return sum(length - 1 for length in _cycle_lengths(perm)) % 2
+def is_even(perm):
+    """Whether perm is even, read off its cycle type."""
+    return sum(length - 1 for length in cycle_type(perm)) % 2 == 0
+
+
+def a7_embeddings():
+    """{name: permutations of 7 points} for the three stabilizer
+    candidates ALT-A7 counts on, built as that case builds them: S5 with
+    each odd sigma also swapping 5 and 6, and S6 and S5 fixing the rest
+    (their double transpositions are those of A6 and A5)."""
+    return {
+        "S5": [s + ((5, 6) if is_even(s) else (6, 5)) for s in permutations(range(5))],
+        "A6": [s + (6,) for s in permutations(range(6))],
+        "A5": [s + (5, 6) for s in permutations(range(5))],
+    }
 
 
 def a7_double_transposition_counts():
     """(total in A7, in an embedded S5, in an embedded A6, in an
     embedded A5) by direct permutation enumeration."""
-    double = [1, 1, 1, 2, 2]
-    total = sum(1 for p in permutations(range(7))
-                if _parity(p) == 0 and _cycle_lengths(p) == double)
-    s5 = 0
-    for sigma in permutations(range(5)):
-        tail = (5, 6) if _parity(sigma) == 0 else (6, 5)
-        if _cycle_lengths(sigma + tail) == double:
-            s5 += 1
-    a6 = sum(1 for sigma in permutations(range(6))
-             if _parity(sigma) == 0 and _cycle_lengths(sigma + (6,)) == double)
-    a5 = sum(1 for sigma in permutations(range(5))
-             if _parity(sigma) == 0 and _cycle_lengths(sigma + (5, 6)) == double)
+    double = (2, 2, 1, 1, 1)
+    total = sum(1 for p in permutations(range(7)) if is_even(p) and cycle_type(p) == double)
+    s5, a6, a5 = (sum(is_even(p) and cycle_type(p) == double for p in perms)
+                  for perms in a7_embeddings().values())
     return total, s5, a6, a5
 
 

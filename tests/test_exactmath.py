@@ -435,6 +435,17 @@ def test_cyclotomic_pieces_match_sympy():
                 assert value == polys[d].eval(x), (x, k, d)
 
 
+def test_plus_pieces_are_the_doubled_exponents_other_pieces():
+    # the identity U-PARAB-MOD splits x^k + 1 by: its pieces are those of
+    # x^(2k) - 1 whose index d does not divide k, in the same increasing d
+    exponents = sorted({a * m for a in (1, 3, 5, 7, 9) for m in range(1, 51)})
+    for x in (2, 3, 1024):
+        for k in exponents:
+            if x == 2 or k <= 200:
+                assert ([(d, v) for d, v in cyclotomic_pieces(x, 2 * k).items() if k % d]
+                        == list(cyclotomic_pieces(x, k, plus=True).items())), (x, k)
+
+
 def test_cyclotomic_pieces_rejects_bad_arguments():
     for x, k in ((1, 5), (0, 5), (-2, 5), (2, 0), (2, -1)):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import time
+from itertools import permutations
 from math import isqrt, prod
 
 import pytest
@@ -21,7 +22,7 @@ from planesieve.exactmath import cyclotomic_pieces
 from planesieve.ledger import CaseCheck, Verdict
 from planesieve.plane import quadratic_ratio_root
 
-from _oracles import phi3_proper_power_hits
+from _oracles import a7_embeddings, cycle_type, phi3_proper_power_hits
 
 
 EXPECTED_IDS = [
@@ -331,37 +332,58 @@ def test_u_parab_mod_witnesses(bound, verdict, passes, failures):
                              ("failures", failures), ("empty-columns", 3, 9))
 
 
-def test_u_parab_mod_factors_only_exponents(monkeypatch):
-    # the cyclotomic pieces come from factoring their exponents, not from
-    # factoring divisors again for every piece: at most 3 calls per (a, n)
+def test_u_parab_mod_factors_each_exponent_once(monkeypatch):
+    # the cyclotomic pieces come from factoring each exponent once (132 at
+    # the default bound), the cross-check's admissible_index factors one
+    # index for each n in 4..20, and _one_mod_three_only's capped factorize
+    # branch runs not at all
     real = planesieve.exactmath.factorize
-    calls = []
-
-    def spy(n):
-        calls.append(n)
-        return real(n)
-
+    calls = {}
     for name, module in list(sys.modules.items()):
         if name.startswith("planesieve") and getattr(module, "factorize", None) is real:
-            monkeypatch.setattr(module, "factorize", spy)
+            seen = calls[name] = []
+            monkeypatch.setattr(module, "factorize",
+                                lambda n, seen=seen: seen.append(n) or real(n))
     ledger.replay("U-PARAB-MOD")
-    pairs = 5 * (50 - 2)  # a in (1, 3, 5, 7, 9), n in 3..50
-    assert 0 < len(calls) <= 3 * pairs
+    assert 0 < len(calls.pop("planesieve.exactmath")) <= 132
+    assert len(calls.pop("planesieve.plane")) <= 20 - 3
+    assert not any(calls.values()), calls
 
 
-def test_u_parab_mod_builds_each_column_once(monkeypatch):
-    # one table of minus-pieces and one of plus-pieces per column a: the
-    # exponents a*m for m <= 50, plus the q^2 - 1 pieces
+def test_u_parab_mod_splits_each_exponent_once_per_replay(monkeypatch):
+    # one cyclotomic_pieces call per distinct exponent k of a 2^k - 1: a*m
+    # for even m and 2*a*m for odd m, a in (1, 3, 5, 7, 9), 2 <= m <= bound.
+    # No table outlives a replay, so a second replay makes as many calls
     real = planesieve.cases.cyclotomic_pieces
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(planesieve.cases, "cyclotomic_pieces", spy)
-    ledger.replay("U-PARAB-MOD")
-    assert 0 < len(calls) <= 250
+    for bound, exponents in ((None, 132), (14, 37)):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            ledger.replay("U-PARAB-MOD", bound=bound)
+            assert all(kwargs == {} for _, kwargs in calls)
+            assert len({args for args, _ in calls}) == len(calls)
+            counts.append(len(calls))
+        assert counts == [exponents, exponents]
+
+
+def test_doubles_matches_the_cycle_type_oracle():
+    # the guards in front of the moved-point count and the square drop no
+    # double transposition: one permutation at a time, _doubles counts
+    # exactly those of cycle type 2+2+1+1+1
+    double = (2, 2, 1, 1, 1)
+    for p in permutations(range(7)):
+        assert planesieve.cases._doubles([p]) == (cycle_type(p) == double), p
+    counts = {name: (planesieve.cases._doubles(perms),
+                     sum(cycle_type(p) == double for p in perms))
+              for name, perms in a7_embeddings().items()}
+    assert counts == {"S5": (25, 25), "A6": (45, 45), "A5": (15, 15)}
 
 
 def _one_mod_three_by_definition(n, sympy):
