@@ -9,14 +9,18 @@ comparisons rely on these primitives never rounding.  Factorization is
 trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule; primality is
-Miller-Rabin.  The first k primes as bases decide every n below psi_k,
-the least strong pseudoprime to all of them, so the base set grows with
-n: primes up to 13 below psi_6 = 3474749660383, up to 17 below psi_7 =
-341550071728321, up to 23 below psi_9 = 3825123056546413051, up to 37
-below psi_12 = 318665857834031151167461 and up to 41 below psi_13 =
+Miller-Rabin with the smallest base set proven for n's size.  The bases
+2, 7, 61 decide every n below 4759123141 and 2, 13, 23, 1662803 every n
+below 1122004669633 (Jaeschke 1993).  The first k primes as bases decide
+every n below psi_k, the least strong pseudoprime to all of them: primes
+up to 11 below psi_5 = 2152302898747, up to 13 below psi_6 =
+3474749660383, up to 17 below psi_7 = 341550071728321, up to 23 below
+psi_9 = 3825123056546413051, up to 37 below psi_12 =
+318665857834031151167461 and up to 41 below psi_13 =
 3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014; Sorenson
-and Webster 2015).  Above psi_13 a fixed list of the primes up to 97 is
-used, which no known composite passes.
+and Webster 2015).  Above psi_13 the primes up to 97 make an unproven
+fixed-base test: Arnault (1995) gives a 397-digit composite that is a
+strong pseudoprime to every prime base below 307.
 """
 
 from __future__ import annotations
@@ -30,16 +34,22 @@ from math import gcd, isqrt, prod
 _TRIAL_LIMIT = 10_000
 _SIEVE_BLOCK = 2048
 
-# (psi_k, the first k primes): those bases decide every n < psi_k exactly.
+# (bound, bases): those bases decide every n < bound exactly.  The first
+# two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
 _MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97)
-_MR_TIERS = tuple((psi, _MR_PRIMES[:k]) for psi, k in (
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (3_317_044_064_679_887_385_961_981, 13),
-))
+_MR_TIERS = (
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+    *((psi, _MR_PRIMES[:k]) for psi, k in (
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )),
+)
 _TRIAL_PRIMES = _MR_PRIMES[:12]
 
 
@@ -66,9 +76,10 @@ def small_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the base set of n's tier: exact below psi_13 =
-    3317044064679887385961981; above it the primes up to 97 are used (no
-    known composite passes them)."""
+    """Miller-Rabin with the base set of n's tier, skipping a base that n
+    divides: exact below psi_13 = 3317044064679887385961981.  Above it the
+    primes up to 97 make an unproven fixed-base test; composites that pass
+    all of them exist (Arnault 1995), and ROADMAP item 5 plans Baillie-PSW."""
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -79,8 +90,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = next((bases for psi, bases in _MR_TIERS if n < psi), _MR_PRIMES)
+    bases = next((bases for bound, bases in _MR_TIERS if n < bound), _MR_PRIMES)
     for a in bases:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -222,13 +235,18 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
         rest = [x * x + x + 1 for x in xs]
         found: list[list[tuple[int, int]]] = [[] for _ in xs]
+        n = len(xs)
+        # most roots of a short window miss the block: a miss costs one
+        # comparison here, where a range per root would be built for nothing
         for p, r in roots:
-            for i in range((r - start) % p, len(xs), p):
+            i = (r - start) % p
+            while i < n:
                 m, e = rest[i] // p, 1
                 while m % p == 0:
                     m, e = m // p, e + 1
                 rest[i] = m
                 found[i].append((p, e))
+                i += p
         for x, m, acc in zip(xs, rest, found):
             _factor_into(m, depth, acc)
             yield Factorization(x * x + x + 1, tuple(acc))

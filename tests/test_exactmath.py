@@ -1,5 +1,6 @@
 """Arithmetic primitives against independent small-scale oracles."""
 
+import builtins
 import os
 import random
 import subprocess
@@ -59,10 +60,61 @@ def test_is_prime_known_values(n, expected):
     assert is_prime(n) == expected
 
 
-# psi_k, the least strong pseudoprime to the first k prime bases, for the
-# k at which is_prime changes its base set.
-_PSI = (3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+# The bounds at which is_prime changes its base set: the least strong
+# pseudoprimes to Jaeschke's sets (2, 7, 61) and (2, 13, 23, 1662803), then
+# psi_k, the least strong pseudoprime to the first k prime bases.
+_PSI = (4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
         318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
+
+
+def _is_strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(r))
+
+
+def test_is_prime_tier_bounds_are_tight():
+    # each bound passes every base of its own tier, so is_prime must move
+    # to the next tier's bases to reject it
+    sympy = pytest.importorskip("sympy")
+    assert [bound for bound, _ in exactmath._MR_TIERS] == list(_PSI)
+    for bound, bases in exactmath._MR_TIERS:
+        assert not sympy.isprime(bound), bound
+        assert all(_is_strong_probable_prime(bound, a) for a in bases), bound
+        assert is_prime(bound) is False, bound
+
+
+def test_is_prime_accepts_its_own_bases():
+    # 61 and 1662803 fall in the tier whose bases hold them, where the
+    # base a = n must be skipped; 7, 13 and 23 end at trial division
+    for n in (7, 13, 23, 61, 1_662_803):
+        assert is_prime(n) is True, n
+    assert all(is_prime(a) for _, bases in exactmath._MR_TIERS for a in bases)
+
+
+@pytest.mark.parametrize("n, exponentiations", [
+    (10**8 + 7, 3),
+    (4_759_123_129, 3),            # the last prime below 4759123141
+    (4_759_123_151, 4),
+    (1_122_004_669_603, 4),        # the last prime below 1122004669633
+    (1_122_004_669_637, 5),
+    (2_152_302_898_729, 5),        # the last prime below psi_5
+    (2_152_302_898_771, 6),
+])
+def test_is_prime_exponentiates_once_per_tier_base(monkeypatch, n, exponentiations):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return builtins.pow(*args)
+
+    monkeypatch.setattr(exactmath, "pow", spy, raising=False)
+    assert is_prime(n) is True
+    assert len(calls) == exponentiations
+    assert all(modulus == n for _, _, modulus in calls)
 
 
 def test_is_prime_rejects_the_twelve_base_pseudoprime():
@@ -319,6 +371,38 @@ def test_phi3_sieve_windows(lo, width):
     # windows ending below x = 10**4 sieve to a depth under 10**4
     hi = lo + width
     assert list(phi3_factorizations(lo, hi)) == [factorize(_phi3(x)) for x in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("lo", [10_000, 100_000, 949_999])
+def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
+    # 101 values sieved to depth 10**4: nearly all of the roots land past
+    # the block's end, and every cofactor above 10001**2 goes to is_prime
+    sympy = pytest.importorskip("sympy")
+    hi = lo + 100
+    assert isqrt(_phi3(hi)) >= 10_000
+    tested = []
+    real = exactmath.is_prime
+
+    def spy(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exactmath, "is_prime", spy)
+    sieved = list(phi3_factorizations(lo, hi))
+    monkeypatch.undo()
+    assert sieved == [factorize(_phi3(x)) for x in range(lo, hi + 1)]
+    if lo <= 100_000:
+        assert [(f.value, f.factors) for f in sieved] == \
+            phi3_smaller_root_factorizations(hi)[lo - 1:]
+    else:
+        # the oracle walks every x from 1 with a dict each, which up to
+        # 950100 means seconds of CPU and hundreds of MB
+        assert [f.factors for f in sieved] == \
+            [tuple(sorted(sympy.factorint(_phi3(x)).items())) for x in range(lo, hi + 1)]
+    assert all(n >= 10_001**2 for n in tested)
+    assert [is_prime(n) for n in tested] == [sympy.isprime(n) for n in tested]
+    if lo == 949_999:
+        assert len(tested) > 50 and max(tested) > 4_759_123_141
 
 
 def test_phi3_sieve_matches_sympy():
