@@ -9,16 +9,15 @@ comparisons rely on these primitives never rounding.  Factorization is
 trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule; primality is
-Miller-Rabin with the smallest base set proven for n's size.  The bases
-2, 7, 61 decide every n below 4759123141 and 2, 13, 23, 1662803 every n
-below 1122004669633 (Jaeschke 1993).  The first k primes as bases decide
-every n below psi_k, the least strong pseudoprime to all of them: primes
-up to 11 below psi_5 = 2152302898747, up to 13 below psi_6 =
-3474749660383, up to 17 below psi_7 = 341550071728321, up to 23 below
-psi_9 = 3825123056546413051, up to 37 below psi_12 =
-318665857834031151167461 and up to 41 below psi_13 =
-3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014; Sorenson
-and Webster 2015).  Above psi_13 the primes up to 97 make an unproven
+Miller-Rabin with a base set proven for n's size.  Jaeschke's (1993) sets
+come first: the bases 2, 7, 61 decide every n below 4759123141 and 2, 13,
+23, 1662803 every n below 1122004669633.  Above those, the first k primes
+as bases decide every n below psi_k, the least strong pseudoprime to all
+of them: primes up to 13 below psi_6 = 3474749660383, up to 17 below
+psi_7 = 341550071728321, up to 23 below psi_9 = 3825123056546413051, up
+to 37 below psi_12 = 318665857834031151167461 and up to 41 below psi_13
+= 3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014;
+Sorenson and Webster 2015).  Above psi_13 the primes up to 97 make an unproven
 fixed-base test: Arnault (1995) gives a 397-digit composite that is a
 strong pseudoprime to every prime base below 307.
 """
@@ -42,7 +41,6 @@ _MR_TIERS = (
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1_662_803)),
     *((psi, _MR_PRIMES[:k]) for psi, k in (
-        (2_152_302_898_747, 5),
         (3_474_749_660_383, 6),
         (341_550_071_728_321, 7),
         (3_825_123_056_546_413_051, 9),

@@ -63,8 +63,8 @@ def test_is_prime_known_values(n, expected):
 # The bounds at which is_prime changes its base set: the least strong
 # pseudoprimes to Jaeschke's sets (2, 7, 61) and (2, 13, 23, 1662803), then
 # psi_k, the least strong pseudoprime to the first k prime bases.
-_PSI = (4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
-        3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+_PSI = (4_759_123_141, 1_122_004_669_633, 3_474_749_660_383,
+        341_550_071_728_321, 3_825_123_056_546_413_051,
         318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
 
 
@@ -88,8 +88,9 @@ def test_is_prime_tier_bounds_are_tight():
 
 
 def test_is_prime_accepts_its_own_bases():
-    # 61 and 1662803 fall in the tier whose bases hold them, where the
-    # base a = n must be skipped; 7, 13 and 23 end at trial division
+    # 61 is the one prime that meets itself as a base (its tier holds
+    # 2, 7, 61), so the base a = n must be skipped; 7, 13 and 23 end at
+    # trial division, and 1662803 is decided by the bases 2, 7, 61
     for n in (7, 13, 23, 61, 1_662_803):
         assert is_prime(n) is True, n
     assert all(is_prime(a) for _, bases in exactmath._MR_TIERS for a in bases)
@@ -100,9 +101,7 @@ def test_is_prime_accepts_its_own_bases():
     (4_759_123_129, 3),            # the last prime below 4759123141
     (4_759_123_151, 4),
     (1_122_004_669_603, 4),        # the last prime below 1122004669633
-    (1_122_004_669_637, 5),
-    (2_152_302_898_729, 5),        # the last prime below psi_5
-    (2_152_302_898_771, 6),
+    (1_122_004_669_637, 6),
 ])
 def test_is_prime_exponentiates_once_per_tier_base(monkeypatch, n, exponentiations):
     calls = []
