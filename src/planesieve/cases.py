@@ -17,9 +17,9 @@ elimination.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, starmap
 from math import comb, gcd, isqrt, prod
-from operator import ne
+from operator import gt, ne
 from typing import Callable
 
 from .catalog import classes_for, involution_class_size
@@ -35,10 +35,11 @@ _FACTOR_CAP = 10**18
 
 
 def _prime_powers(limit: int) -> list[tuple[int, int]]:
-    """All (value, p) with value = p**e <= limit, e >= 1, sorted by value."""
-    out = []
-    for p in small_primes(limit):
-        value = p
+    """All (value, p) with value = p**e <= limit, e >= 1, sorted by value.
+    Only primes up to isqrt(limit) have a power above the first."""
+    out = [(p, p) for p in small_primes(limit)]
+    for p in small_primes(isqrt(limit)):
+        value = p * p
         while value <= limit:
             out.append((value, p))
             value *= p
@@ -91,12 +92,19 @@ def _case(**metadata) -> Callable[[CheckFn], CheckFn]:
        parameters="direct scan 2 <= u <= 100; ratio monotone on 100 < u <= 1000",
        default_bound=1000, bound_kind="u")
 def _frame_5sqrt(rec: Record, u_max: int) -> None:
+    power = 5
     for u in range(2, min(100, u_max) + 1):
-        if not u**4 + u**2 + 1 < 5**u:
+        power *= 5
+        x = u * u
+        if not x * x + x + 1 < power:
             rec.fail("direct-failure", u)
-    for u in range(max(2, 100), u_max):
-        if not 5 * (u**4 + u**2 + 1) > (u + 1) ** 4 + (u + 1) ** 2 + 1:
+    value = 100**4 + 100**2 + 1
+    for u in range(100, u_max):
+        x = (u + 1) ** 2
+        following = x * x + x + 1
+        if not 5 * value > following:
             rec.fail("ratio-failure", u)
+        value = following
     if rec.ok:
         rec.note("direct", 2, min(100, u_max))
         rec.note("ratio-monotone", 100, u_max)
@@ -132,7 +140,7 @@ def _alt_ratio(rec: Record, n_max: int) -> None:
 
 def _is_even(sigma: tuple[int, ...]) -> bool:
     """Whether sigma has an even number of inversions."""
-    return sum(x > y for x, y in combinations(sigma, 2)) % 2 == 0
+    return sum(starmap(gt, combinations(sigma, 2))) % 2 == 0
 
 
 _ID7 = tuple(range(7))
@@ -142,11 +150,11 @@ def _doubles(perms) -> int:
     """How many of perms are double transpositions on 7 points: the
     involutions that move exactly four points.  A product of two
     transpositions is even, so no parity filter is needed.  The guards
-    p[p[0]] == 0 and p[p[1]] == 1 go first (every involution passes
-    them, 600 of the 5040 permutations do), then the moved-point count,
-    and the square of p is built last."""
+    p[p[0]] == 0, p[p[1]] == 1 and p[p[2]] == 2 go first (every
+    involution passes them, 336 of the 5040 permutations do), then the
+    moved-point count, and the square of p is built last."""
     return sum(1 for p in perms
-               if p[p[0]] == 0 and p[p[1]] == 1
+               if p[p[0]] == 0 and p[p[1]] == 1 and p[p[2]] == 2
                and sum(map(ne, p, _ID7)) == 4
                and tuple(map(p.__getitem__, p)) == _ID7)
 

@@ -13,7 +13,6 @@ it certifies.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -163,6 +162,9 @@ def verify_all(jobs: int = 1, u_max: int | None = None, q_max: int | None = None
 
     if jobs == 1:
         return map(run, reg)
+
+    # loaded here, so a single-worker replay never imports the thread pool
+    from concurrent.futures import ThreadPoolExecutor
 
     def pooled() -> Iterator[CaseResult]:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

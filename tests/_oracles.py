@@ -204,6 +204,39 @@ def phi3_smaller_root_factorizations(x_max):
     return [(x * x + x + 1, tuple(sorted(found[x].items()))) for x in range(1, x_max + 1)]
 
 
+def phi3_trial_division_factorizations(lo, hi):
+    """[(x**2 + x + 1, ((prime, exponent), ...))] for x = lo..hi, by plain
+    trial division: each value is divided by the primes up to
+    isqrt(hi**2 + hi + 1), from a sieve of Eratosthenes, in increasing
+    order until p**2 exceeds what is left.  What is left then has no prime
+    factor up to its square root, so it is 1 or a prime, read off with no
+    primality test.  The cost is set by the window, not by how far from 1
+    it lies."""
+    limit = isqrt(hi * hi + hi + 1)
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = [p for p, flag in enumerate(flags) if flag]
+    out = []
+    for x in range(lo, hi + 1):
+        rest = x * x + x + 1
+        found = []
+        for p in primes:
+            if p * p > rest:
+                break
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest, e = rest // p, e + 1
+                found.append((p, e))
+        if rest > 1:
+            found.append((rest, 1))
+        out.append((x * x + x + 1, tuple(found)))
+    return out
+
+
 def brute_subspace_count(n, m, q):
     """Number of m-dimensional subspaces of GF(q)^n, prime q only,
     by enumerating spans as frozensets of vectors."""

@@ -688,10 +688,12 @@ _LEDGER_LAYERS = ("cases", "catalog", "exactmath", "groups", "ledger", "plane")
     (["scan", "--u-min", "2", "--u-max", "200", "--candidates", "PSL 2 13"], 0, _SCAN_LAYERS),
     (["verify", "ALT-BOUND", "--format", "structured"], 0, _LEDGER_LAYERS),
     (["verify-all", "--u-max", "10"], 1, _LEDGER_LAYERS),
+    # only more than one worker loads the thread pool
+    (["verify-all", "--jobs", "2", "--u-max", "10"], 1, _LEDGER_LAYERS),
     # a refused worker count fails before the case registry is imported
     (["verify-all", "--jobs", "0"], 2, ("exactmath", "ledger", "plane")),
 ], ids=["version", "factor", "order", "index", "catalog", "scan", "verify", "verify-all",
-        "verify-all-jobs-0"])
+        "verify-all-jobs-2", "verify-all-jobs-0"])
 def test_each_subcommand_imports_only_its_layers(argv, code, layers):
     child = ("import contextlib, io, sys\n"
              "from planesieve.cli import main\n"
@@ -706,7 +708,7 @@ def test_each_subcommand_imports_only_its_layers(argv, code, layers):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     status, loaded = proc.stdout.splitlines()
-    pool = argv[0].startswith("verify")
+    pool = "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) > 1
     assert status == f"{code} {pool}"
     assert loaded.split() == sorted(f"planesieve.{m}" for m in ("cli", *layers))
     assert proc.stderr == ("error: jobs must be >= 1, got 0\n" if code == 2 else "")

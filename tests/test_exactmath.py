@@ -17,8 +17,10 @@ from planesieve.exactmath import (Factorization, cyclotomic_pieces, cyclotomic_r
                                   factor_cyclotomic_ratio, factorize, gaussian_binomial, geom_sum,
                                   is_prime, is_prime_power, nth_root, phi3_factorizations,
                                   small_primes, trial_divide)
+from planesieve.plane import U_CAP
 
-from _oracles import brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations
+from _oracles import (brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations,
+                      phi3_trial_division_factorizations)
 
 
 def _reference_sieve(limit):
@@ -421,6 +423,23 @@ def test_phi3_sieve_matches_smaller_root_oracle():
     # the oracle shares no code with the sieve and tests no prime
     assert [(f.value, f.factors) for f in phi3_factorizations(1, 20_000)] == \
         phi3_smaller_root_factorizations(20_000)
+
+
+def test_phi3_trial_division_oracle_matches_smaller_root_oracle():
+    # the two oracles share no code: one reads new primes off by the
+    # smaller-root lemma, the other divides by every prime in turn
+    assert phi3_trial_division_factorizations(1, 3000) == phi3_smaller_root_factorizations(3000)
+    assert phi3_trial_division_factorizations(2500, 3000) == \
+        phi3_smaller_root_factorizations(3000)[2499:]
+
+
+def test_phi3_sieve_near_the_cap_matches_trial_division_oracle():
+    # every row of the 100-row window ending at U_CAP, where the sieve
+    # stops at depth 10**4 and finishes cofactors by is_prime and rho,
+    # against an oracle that divides by every prime up to isqrt(Phi_3(U_CAP))
+    lo = U_CAP - 99
+    assert [(f.value, f.factors) for f in phi3_factorizations(lo, U_CAP)] == \
+        phi3_trial_division_factorizations(lo, U_CAP)
 
 
 def test_phi3_sieve_rejects_bad_windows():

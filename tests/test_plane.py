@@ -1,14 +1,15 @@
 """Plane-order arithmetic: factor split, admissibility, prime-power
 classification, the quadratic-ratio inverse, and the counting chain."""
 
+import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import planesieve.exactmath
 from planesieve.exactmath import (Factorization, factorize, is_prime_power,
-                                  phi3_factorizations)
+                                  phi3_factorizations, small_primes)
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
                               ljunggren_classify, plane_order, plane_orders,
@@ -82,6 +83,29 @@ def test_v_factors_merge_the_halves(u_min, u_max):
 def test_admissible_index(n, expected):
     assert admissible_index(n) == expected
     assert admissible_index(factorize(n)) == expected
+
+
+def test_admissible_index_of_an_int_matches_its_factorization():
+    # an int is refused by its residues and its primes up to 10**4 first,
+    # and only a cofactor that passes is factored: the answer must be the
+    # one read off the full factorization, at every small n and on
+    # products whose primes = 2 mod 3 all lie above 10**4, where only the
+    # residue mod 3 or the factored cofactor can refuse
+    for n in range(1, 30_001):
+        assert admissible_index(n) == admissible_index(factorize(n)), n
+    large = [p for p in small_primes(200_000) if p > 10_000]
+    one_mod = [p for p in large if p % 3 == 1]
+    two_mod = [p for p in large if p % 3 == 2]
+    rng = random.Random(33)
+    answers = []
+    for _ in range(600):
+        small = 3 ** rng.randrange(3) * prod(rng.sample((7, 13, 19, 31, 37, 43), rng.randrange(3)))
+        bad = rng.choice(([], [rng.choice(two_mod)], rng.sample(two_mod, 2),
+                          [rng.choice(two_mod)] * 2))
+        n = small * prod(rng.sample(one_mod, rng.randrange(3))) * prod(bad)
+        answers.append(admissible_index(n))
+        assert answers[-1] == admissible_index(factorize(n)), n
+    assert answers.count(True) > 50 and answers.count(False) > 300
 
 
 def test_admissible_index_rejects_nonpositive():
