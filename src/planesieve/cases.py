@@ -17,9 +17,9 @@ elimination.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product, starmap
+from itertools import combinations, permutations, product
 from math import comb, gcd, isqrt, prod
-from operator import gt, ne
+from operator import ne
 from typing import Callable
 
 from .catalog import classes_for, involution_class_size
@@ -35,11 +35,10 @@ _FACTOR_CAP = 10**18
 
 
 def _prime_powers(limit: int) -> list[tuple[int, int]]:
-    """All (value, p) with value = p**e <= limit, e >= 1, sorted by value.
-    Only primes up to isqrt(limit) have a power above the first."""
-    out = [(p, p) for p in small_primes(limit)]
-    for p in small_primes(isqrt(limit)):
-        value = p * p
+    """All (value, p) with value = p**e <= limit, e >= 1, sorted by value."""
+    out = []
+    for p in small_primes(limit):
+        value = p
         while value <= limit:
             out.append((value, p))
             value *= p
@@ -140,7 +139,7 @@ def _alt_ratio(rec: Record, n_max: int) -> None:
 
 def _is_even(sigma: tuple[int, ...]) -> bool:
     """Whether sigma has an even number of inversions."""
-    return sum(starmap(gt, combinations(sigma, 2))) % 2 == 0
+    return sum(x > y for x, y in combinations(sigma, 2)) % 2 == 0
 
 
 _ID7 = tuple(range(7))

@@ -16,8 +16,7 @@ from enum import Enum
 from itertools import pairwise
 from math import gcd, isqrt
 
-from .exactmath import (_TRIAL_LIMIT, Factorization, _factor_into, phi3_factorizations,
-                        trial_divide)
+from .exactmath import Factorization, factorize, phi3_factorizations
 
 # The largest u the sieve accepts, and the largest --u-max of verify-all.
 U_CAP = 10**6
@@ -63,26 +62,18 @@ def admissible_index(n: int | Factorization) -> bool:
     """True iff every prime divisor of n is 3 or lies in 1 mod 3, and the
     exponent of 3 is at most 1.  n = 1 passes vacuously.  n may be given
     as its Factorization (such as PlaneOrder.v_factors), which is read
-    as is and not factored again.  An int is refused as early as it can
-    be: first when 2 or 9 divides it or it is 2 mod 3 (a number = 2 mod 3
-    has a prime divisor = 2 mod 3), then when one of its primes up to
-    10**4 is 2 mod 3.  Only then is the cofactor those primes leave
-    factored, by the rule factorize finishes with."""
+    as is and not factored again.  An int is refused before it is
+    factored when 2 or 9 divides it or it is 2 mod 3 (a number = 2 mod 3
+    has a prime divisor = 2 mod 3)."""
     if isinstance(n, int):
         if n < 1:
             raise ValueError(f"admissible_index expects n >= 1, got {n}")
         if n % 2 == 0 or n % 9 == 0 or n % 3 == 2:
             return False
-        small, m = trial_divide(n)
-        if any(p % 3 == 2 for p in small):
-            return False
-        factors: list[tuple[int, int]] = []
-        _factor_into(m, _TRIAL_LIMIT, factors)
+        n = factorize(n)
     elif n.value < 1:
         raise ValueError(f"admissible_index expects n >= 1, got {n.value}")
-    else:
-        factors = n.factors
-    for p, e in factors:
+    for p, e in n.factors:
         if p == 3:
             if e > 1:
                 return False

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import planesieve.cases
 import planesieve.exactmath
-import planesieve.plane
 from planesieve import ledger
 from planesieve.cases import REGISTRY
 from planesieve.exactmath import cyclotomic_pieces
@@ -335,9 +334,8 @@ def test_u_parab_mod_witnesses(bound, verdict, passes, failures):
 
 def test_u_parab_mod_factors_each_exponent_once(monkeypatch):
     # the cyclotomic pieces come from factoring each exponent once (132 at
-    # the default bound), the cross-check's admissible_index finishes at
-    # most one index cofactor for each n in 4..20 (by plane's _factor_into,
-    # after its own trial division), and _one_mod_three_only's capped
+    # the default bound), the cross-check's admissible_index factors at
+    # most one index for each n in 4..20, and _one_mod_three_only's capped
     # factorize branch runs not at all
     real = planesieve.exactmath.factorize
     calls = {}
@@ -346,13 +344,9 @@ def test_u_parab_mod_factors_each_exponent_once(monkeypatch):
             seen = calls[name] = []
             monkeypatch.setattr(module, "factorize",
                                 lambda n, seen=seen: seen.append(n) or real(n))
-    real_finish = planesieve.plane._factor_into
-    finished = []
-    monkeypatch.setattr(planesieve.plane, "_factor_into",
-                        lambda m, depth, acc: finished.append(m) or real_finish(m, depth, acc))
     ledger.replay("U-PARAB-MOD")
     assert 0 < len(calls.pop("planesieve.exactmath")) <= 132
-    assert len(finished) <= 20 - 3
+    assert len(calls.pop("planesieve.plane")) <= 20 - 3
     assert not any(calls.values()), calls
 
 
@@ -377,21 +371,6 @@ def test_u_parab_mod_splits_each_exponent_once_per_replay(monkeypatch):
             assert len({args for args, _ in calls}) == len(calls)
             counts.append(len(calls))
         assert counts == [exponents, exponents]
-
-
-def test_prime_powers_match_brute_force():
-    # (p**e, p) for every prime power up to the limit, sorted by value,
-    # with p read off as the least divisor above 1
-    brute = []
-    for value in range(2, 2001):
-        p = next(d for d in range(2, value + 1) if value % d == 0)
-        rest = value
-        while rest % p == 0:
-            rest //= p
-        if rest == 1:
-            brute.append((value, p))
-    for limit in range(2001):
-        assert planesieve.cases._prime_powers(limit) == [t for t in brute if t[0] <= limit], limit
 
 
 def test_doubles_matches_the_cycle_type_oracle():

@@ -86,11 +86,11 @@ def test_admissible_index(n, expected):
 
 
 def test_admissible_index_of_an_int_matches_its_factorization():
-    # an int is refused by its residues and its primes up to 10**4 first,
-    # and only a cofactor that passes is factored: the answer must be the
-    # one read off the full factorization, at every small n and on
-    # products whose primes = 2 mod 3 all lie above 10**4, where only the
-    # residue mod 3 or the factored cofactor can refuse
+    # an int is refused by its residues mod 2, 9 and 3 before it is
+    # factored: the answer must be the one read off the full
+    # factorization, at every small n and on products whose primes = 2
+    # mod 3 all lie above 10**4, where only the residue mod 3 or the
+    # factorization can refuse
     for n in range(1, 30_001):
         assert admissible_index(n) == admissible_index(factorize(n)), n
     large = [p for p in small_primes(200_000) if p > 10_000]

@@ -222,21 +222,15 @@ def test_rows_never_reprove_primes_of_v(monkeypatch):
 
 
 def _spy_factorize(monkeypatch):
-    # factorize, and the cofactor step admissible_index takes on an int:
-    # the two ways a row could factor a number outside the sieve
-    real, real_finish = planesieve.exactmath.factorize, planesieve.plane._factor_into
+    real = planesieve.exactmath.factorize
     seen = []
 
     def spy(n):
         seen.append(n)
         return real(n)
 
-    def spy_finish(m, depth, acc):
-        seen.append(m)
-        return real_finish(m, depth, acc)
-
     monkeypatch.setattr(planesieve.exactmath, "factorize", spy)
-    monkeypatch.setattr(planesieve.plane, "_factor_into", spy_finish)
+    monkeypatch.setattr(planesieve.plane, "factorize", spy)
     return seen
 
 
