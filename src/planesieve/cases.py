@@ -48,20 +48,17 @@ def _prime_powers(limit: int) -> list[tuple[int, int]]:
 def _one_mod_three_only(n: int) -> bool | None:
     """Whether every prime divisor of n other than 3 is 1 mod 3.
 
-    True/False when decided; None when an unfactored cofactor above the
-    desk-scale cap blocks a positive answer.
+    Past the primes up to 10^4 and the 2 mod 3 refusals, admissible_index
+    decides the cofactor (it has no factor 9) up to the desk-scale cap;
+    above it a prime power is decided, and any other cofactor gives None.
     """
     small, n = trial_divide(n)
     if n % 3 == 2 or any(p % 3 == 2 for p in small):
         return False
-    if n in (1, 3):  # trial_divide leaves n = 3 whole, below its first stop
-        return True
-    pp = is_prime_power(n)
-    if pp is not None:
-        return pp[0] % 3 == 1
     if n <= _FACTOR_CAP:
-        return all(p % 3 == 1 for p, _ in factorize(n).factors)
-    return None
+        return admissible_index(n)
+    pp = is_prime_power(n)
+    return None if pp is None else pp[0] % 3 == 1
 
 
 def _class_size(spec, label: str) -> int:

@@ -93,14 +93,15 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import ledger
     res = ledger.replay(args.case_id, bound=args.bound)
+    record = ledger.report_record(res)
     lines = [f"{res.id}: {res.verdict.value.upper()}  ({res.elapsed_ms:.1f} ms)",
              f"  section:    {res.case.section}",
              f"  claim:      {res.case.anchor}",
              f"  parameters: {res.case.parameters}"]
     if res.bound is not None:
         lines.append(f"  bound:      {res.bound}")
-    lines += [f"  witness:    {w}" for w in res.witnesses[:10]]
-    _write(args, ledger.report_record(res), "\n".join(lines))
+    lines += [f"  witness:    {w}" for w in record["witnesses"]]
+    _write(args, record, "\n".join(lines))
     return 0 if res.verdict is ledger.Verdict.ELIMINATED else 1
 
 

@@ -33,23 +33,6 @@ from math import gcd, isqrt, prod
 _TRIAL_LIMIT = 10_000
 _SIEVE_BLOCK = 2048
 
-# (bound, bases): those bases decide every n < bound exactly.  The first
-# two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
-_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-              61, 67, 71, 73, 79, 83, 89, 97)
-_MR_TIERS = (
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
-    *((psi, _MR_PRIMES[:k]) for psi, k in (
-        (3_474_749_660_383, 6),
-        (341_550_071_728_321, 7),
-        (3_825_123_056_546_413_051, 9),
-        (318_665_857_834_031_151_167_461, 12),
-        (3_317_044_064_679_887_385_961_981, 13),
-    )),
-)
-_TRIAL_PRIMES = _MR_PRIMES[:12]
-
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
@@ -64,6 +47,22 @@ _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
 _TRIAL_BLOCKS = tuple((ps[0] ** 2, prod(ps), ps) for ps in (
     _SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32)))
+
+# (bound, bases): those bases decide every n < bound exactly.  The first
+# two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
+_MR_PRIMES = tuple(_SMALL_PRIMES[:25])
+_MR_TIERS = (
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+    *((psi, _MR_PRIMES[:k]) for psi, k in (
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )),
+)
+_TRIAL_PRIMES = _MR_PRIMES[:12]
 
 
 def small_primes(limit: int) -> list[int]:

@@ -76,6 +76,14 @@ SPORADIC_ODD_INDEX: tuple[tuple[str, str, int], ...] = (
 _SPORADIC_ALIASES = {name.upper().replace("'", ""): name for name in SPORADIC_ORDERS}
 _SPORADIC_ALIASES["O'N"] = "ON"
 
+# Parameter names of each family, in command-line order.
+_PARAMETERS = {"A": ("n",), "SPOR": ("name",), "PSL": ("n", "q"), "PSU": ("n", "q"),
+               "PSp": ("n", "q"), "POmega": ("n", "q", "eps"), "E6": ("q", "eps"),
+               **dict.fromkeys(("G2", "F4", "E7", "E8", "2B2", "2G2", "3D4", "2F4"), ("q",))}
+
+# The (family, n, q) inside a classical family's range that are not simple.
+_NOT_SIMPLE = {("PSL", 2, 2), ("PSL", 2, 3), ("PSU", 3, 2), ("PSp", 4, 2)}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -92,29 +100,18 @@ class GroupSpec:
     e: int | None = None
 
     def __str__(self) -> str:
-        if self.family == "A":
-            return f"A{self.n}"
+        # the family's own parameters: A7, M11, PSL(2,13), POmega+(8,3), E6-(2)
         if self.family == "SPOR":
             return str(self.name)
-        if self.family in ("PSL", "PSU", "PSp"):
-            return f"{self.family}({self.n},{self.q})"
-        if self.family == "POmega":
-            return f"POmega{self.eps}({self.n},{self.q})"
-        if self.family == "E6":
-            return f"E6{self.eps}({self.q})"
-        return f"{self.family}({self.q})"
+        names = _PARAMETERS[self.family]
+        shown = ",".join(str(getattr(self, name)) for name in names if name != "eps")
+        head = self.family + (self.eps if "eps" in names else "")
+        return head + shown if self.family == "A" else f"{head}({shown})"
 
     @property
     def sign(self) -> int | None:
         """The form sign eps as +1 or -1; None when eps is "o" or unset."""
         return 1 if self.eps == "+" else -1 if self.eps == "-" else None
-
-
-def _char(q: int, context: str) -> tuple[int, int]:
-    pp = is_prime_power(q) if q >= 2 else None
-    if pp is None:
-        raise ValueError(f"{context}: q = {q} is not a prime power")
-    return pp
 
 
 def group_spec(family: str, n: int | None = None, q: int | None = None,
@@ -132,22 +129,19 @@ def group_spec(family: str, n: int | None = None, q: int | None = None,
         return GroupSpec("SPOR", name=key)
     if q is None:
         raise ValueError(f"{family} requires a field size")
-    p, e = _char(q, family)
+    pp = is_prime_power(q) if q >= 2 else None
+    if pp is None:
+        raise ValueError(f"{family}: q = {q} is not a prime power")
+    p, e = pp
     if family == "PSL":
         if n is None or n < 2:
             raise ValueError(f"PSL rank must be >= 2, got {n}")
-        if n == 2 and q in (2, 3):
-            raise ValueError(f"PSL(2,{q}) is not simple")
     elif family == "PSU":
         if n is None or n < 3:
             raise ValueError(f"PSU rank must be >= 3, got {n}")
-        if (n, q) == (3, 2):
-            raise ValueError("PSU(3,2) is not simple")
     elif family == "PSp":
         if n is None or n < 4 or n % 2:
             raise ValueError(f"PSp dimension must be even and >= 4, got {n}")
-        if (n, q) == (4, 2):
-            raise ValueError("PSp(4,2) is not simple")
     elif family == "POmega":
         if eps not in ("+", "-", "o"):
             raise ValueError(f"POmega sign must be one of + - o, got {eps!r}")
@@ -178,6 +172,8 @@ def group_spec(family: str, n: int | None = None, q: int | None = None,
             raise ValueError(f"2F4 needs q = 2^a with a odd, got {q}")
     else:
         raise ValueError(f"unknown family {family!r}")
+    if (family, n, q) in _NOT_SIMPLE:
+        raise ValueError(f"{family}({n},{q}) is not simple")
     return GroupSpec(family, n=n, q=q, eps=eps, p=p, e=e)
 
 
@@ -235,32 +231,29 @@ def order(spec: GroupSpec) -> int:
 def _index_record(spec: GroupSpec, m: int) -> tuple[tuple, tuple]:
     """(num, den) with the index of the m-th maximal parabolic subgroup
     = prod_num(q^d - e) / prod_den(q^d - e)."""
-    q, n = spec.q, spec.n
-    if spec.family == "PSL":
-        if not 1 <= m <= n - 1:
-            raise ValueError(f"PSL({n},{q}) parabolic range is 1..{n - 1}, got {m}")
+    fam, n = spec.family, spec.n
+    if fam in ("PSL", "PSU", "PSp"):
+        top = n - 1 if fam == "PSL" else n // 2
+        if not 1 <= m <= top:
+            raise ValueError(f"{spec} parabolic range is 1..{top}, got {m}")
+    if fam == "PSL":
         return tuple((n - i, 1) for i in range(m)), tuple((i + 1, 1) for i in range(m))
-    if spec.family == "PSU":
-        if not 1 <= m <= n // 2:
-            raise ValueError(f"PSU({n},{q}) parabolic range is 1..{n // 2}, got {m}")
+    if fam == "PSU":
         return (tuple((i, (-1) ** i) for i in range(n - 2 * m + 1, n + 1)),
                 tuple((2 * i, 1) for i in range(1, m + 1)))
-    if spec.family == "PSp":
-        k = n // 2
-        if not 1 <= m <= k:
-            raise ValueError(f"PSp({n},{q}) parabolic range is 1..{k}, got {m}")
-        return tuple((2 * (k - i), 1) for i in range(m)), tuple((i, 1) for i in range(1, m + 1))
-    if spec.family == "POmega":
+    if fam == "PSp":
+        return tuple((n - 2 * i, 1) for i in range(m)), tuple((i, 1) for i in range(1, m + 1))
+    if fam == "POmega":
         if m != 1:
             raise ValueError(f"only the point parabolic is wired for {spec}")
         if spec.eps == "o":
             return ((n - 1, 1),), ((1, 1),)
         return ((n // 2, spec.sign), ((n - 2) // 2, -spec.sign)), ((1, 1),)
-    if spec.family == "G2":
+    if fam == "G2":
         if m not in (1, 2):
             raise ValueError(f"G2 parabolic range is 1..2, got {m}")
         return ((6, 1),), ((1, 1),)
-    raise ValueError(f"parabolic index not wired for family {spec.family}")
+    raise ValueError(f"parabolic index not wired for family {fam}")
 
 
 def parabolic_index(spec: GroupSpec, m: int) -> int:
@@ -322,12 +315,6 @@ def min_proper_index(spec: GroupSpec) -> int | None:
         # PSU(4, q) acts on fewer isotropic lines, (q+1)(q^3+1), than points
         return parabolic_index(spec, 2 if (fam, spec.n) == ("PSU", 4) else 1)
     return None
-
-
-# Parameter names of each family, in command-line order.
-_PARAMETERS = {"A": ("n",), "SPOR": ("name",), "PSL": ("n", "q"), "PSU": ("n", "q"),
-               "PSp": ("n", "q"), "POmega": ("n", "q", "eps"), "E6": ("q", "eps"),
-               **dict.fromkeys(("G2", "F4", "E7", "E8", "2B2", "2G2", "3D4", "2F4"), ("q",))}
 
 
 def parse_group(tokens: list[str]) -> GroupSpec:

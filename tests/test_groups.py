@@ -247,8 +247,6 @@ def test_group_spec_validation():
     with pytest.raises(ValueError):
         group_spec("PSp", n=3, q=2)            # odd symplectic dimension
     with pytest.raises(ValueError):
-        group_spec("PSU", n=3, q=2)            # excluded solvable case
-    with pytest.raises(ValueError):
         group_spec("POmega", n=8, q=3, eps="o")  # even n needs a sign
     with pytest.raises(ValueError):
         group_spec("2B2", q=4)                 # odd power of 2 required
@@ -259,6 +257,10 @@ def test_group_spec_validation():
         ("PSL", {"n": 3}, "PSL requires a field size"),
         ("POmega", {"n": 8, "q": 3, "eps": "x"}, "POmega sign must be one of + - o, got 'x'"),
         ("XYZ", {"q": 4}, "unknown family 'XYZ'"),
+        ("PSL", {"n": 2, "q": 2}, "PSL(2,2) is not simple"),
+        ("PSL", {"n": 2, "q": 3}, "PSL(2,3) is not simple"),
+        ("PSU", {"n": 3, "q": 2}, "PSU(3,2) is not simple"),
+        ("PSp", {"n": 4, "q": 2}, "PSp(4,2) is not simple"),
     ):
         with pytest.raises(ValueError) as info:
             group_spec(family, **kwargs)
@@ -278,4 +280,26 @@ def test_parse_group_errors():
         parse_group(["PSL", "2"])
     with pytest.raises(ValueError):
         parse_group(["PSL", "2", "x"])
-    assert str(parse_group(["PSL", "2", "13"])) == "PSL(2,13)"
+    for tokens, name in (
+        (["PSL", "2", "13"], "PSL(2,13)"),
+        (["PSU", "4", "3"], "PSU(4,3)"),
+        (["PSp", "6", "5"], "PSp(6,5)"),
+        (["POmega", "8", "3", "+"], "POmega+(8,3)"),
+        (["POmega", "10", "2", "-"], "POmega-(10,2)"),
+        (["POmega", "7", "3", "o"], "POmegao(7,3)"),
+        (["G2", "5"], "G2(5)"),
+        (["F4", "2"], "F4(2)"),
+        (["E6", "2", "+"], "E6+(2)"),
+        (["E6", "3", "-"], "E6-(3)"),
+        (["E7", "3"], "E7(3)"),
+        (["E8", "2"], "E8(2)"),
+        (["2B2", "8"], "2B2(8)"),
+        (["2G2", "27"], "2G2(27)"),
+        (["3D4", "2"], "3D4(2)"),
+        (["2F4", "2"], "2F4(2)"),
+        (["A", "7"], "A7"),
+        (["SPOR", "o'n"], "ON"),
+    ):
+        assert str(parse_group(tokens)) == name
+    # a family prints only its own parameters, whatever else the spec holds
+    assert str(group_spec("G2", n=5, q=7)) == "G2(7)"

@@ -334,9 +334,10 @@ def test_u_parab_mod_witnesses(bound, verdict, passes, failures):
 
 def test_u_parab_mod_factors_each_exponent_once(monkeypatch):
     # the cyclotomic pieces come from factoring each exponent once (132 at
-    # the default bound), the cross-check's admissible_index factors at
-    # most one index for each n in 4..20, and _one_mod_three_only's capped
-    # factorize branch runs not at all
+    # the default bound).  plane's factorize, behind admissible_index, sees
+    # one call for each piece _one_mod_three_only screens at or below
+    # _FACTOR_CAP and none for a piece above it, plus at most one index for
+    # each n in 4..20 of the cross-check
     real = planesieve.exactmath.factorize
     calls = {}
     for name, module in list(sys.modules.items()):
@@ -344,9 +345,22 @@ def test_u_parab_mod_factors_each_exponent_once(monkeypatch):
             seen = calls[name] = []
             monkeypatch.setattr(module, "factorize",
                                 lambda n, seen=seen: seen.append(n) or real(n))
+    cases, plane_calls, screened = planesieve.cases, calls["planesieve.plane"], []
+    screen = cases._one_mod_three_only
+
+    def spy(x):
+        before = len(plane_calls)
+        result = screen(x)
+        screened.append((x, len(plane_calls) - before))
+        return result
+
+    monkeypatch.setattr(cases, "_one_mod_three_only", spy)
     ledger.replay("U-PARAB-MOD")
     assert 0 < len(calls.pop("planesieve.exactmath")) <= 132
-    assert len(calls.pop("planesieve.plane")) <= 20 - 3
+    assert [made for _, made in screened] == [int(x <= cases._FACTOR_CAP) for x, _ in screened]
+    below = sum(made for _, made in screened)
+    assert 0 < below < len(screened)
+    assert len(calls.pop("planesieve.plane")) - below <= 20 - 3
     assert not any(calls.values()), calls
 
 
