@@ -28,7 +28,7 @@ from .exactmath import (cyclotomic_pieces, cyclotomic_ratio, factorize, gaussian
                         trial_divide)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck, CheckFn, Record
-from .plane import (LjunggrenClass, admissible_index, fixed_count_bound,
+from .plane import (U_CAP, LjunggrenClass, admissible_index, fixed_count_bound,
                     involution_counts, ljunggren_classify, quadratic_ratio_root)
 
 _FACTOR_CAP = 10**18
@@ -595,7 +595,7 @@ def _oo_contra(rec: Record, _bound: int | None) -> None:
 
 _E6_SCALE = 32768
 _E6_NUM_PLUS = (32768, 16384, 12288, 10240, 25344, 16256, 13536, 11984, 39587)
-_E6_NUM_MINUS = (32768, 16384, 12288, 10240, -25344, 16256, 13536, 11984, 39587)
+_E6_NUM_MINUS = _E6_NUM_PLUS[:4] + (-_E6_NUM_PLUS[4],) + _E6_NUM_PLUS[5:]  # quartic negated
 
 
 def _e6_triple(q: int) -> int:
@@ -808,7 +808,7 @@ def _e_char2_parab(rec: Record, a_max: int) -> None:
 @_case(id="LJUNGGREN-SCAN", section="number-theory/prime-power-values",
        anchor="u^2+u+1 is a proper prime power only at u = 18, value 343",
        parameters="1 <= u <= 10^6, cross-checked against the classifier "
-                  "for u <= 2000", default_bound=10**6, bound_kind="u")
+                  "for u <= 2000", default_bound=U_CAP, bound_kind="u")
 def _ljunggren_scan(rec: Record, u_max: int) -> None:
     v_max = u_max * u_max + u_max + 1
     # u**2 < u**2 + u + 1 < (u + 1)**2, so the value is never a square: only

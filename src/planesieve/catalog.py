@@ -8,6 +8,7 @@ any other.  Exponents are linear forms [a, b] meaning a*n + b, or
 [a, b, d] meaning (a*n + b)/d, exact on every n the window admits; a
 coefficient "e" is the form sign (+1 or -1): the optional sign key, or
 else the group's eps, so a plus/minus pair shares one formula record.
+F4 and 3D4, whose class sizes agree, share one record the same way.
 A formula, with the optional const defaulting to [1, 1], is const[0]
 times the factors over const[1] times the optional divide factors, one
 exact integer division.
@@ -50,6 +51,15 @@ _E7: dict[str, Any] = {
         {"kind": "poly", "terms": [[1, [0, 3]], ["e", [0, 0]]]},
         {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
         {"kind": "poly", "terms": [[1, [0, 12]], [1, [0, 6]], [1, [0, 0]]]},
+    ],
+}
+_F4_3D4: dict[str, Any] = {
+    "exact": True,
+    "parity": "odd",
+    "valid": {"q_parity": "odd"},
+    "factors": [
+        {"kind": "qpow", "exp": [0, 8]},
+        {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
     ],
 }
 
@@ -270,30 +280,18 @@ CLASS_TEMPLATES: tuple[dict[str, Any], ...] = (
         ],
     },
     {
+        **_F4_3D4,
         "label": "f4",
         "family": "F4",
-        "exact": True,
-        "parity": "odd",
         "anchor": "F4, odd q: involution with centralizer of spin type in "
                   "dimension 9, class size q^8(q^8+q^4+1)",
-        "valid": {"q_parity": "odd"},
-        "factors": [
-            {"kind": "qpow", "exp": [0, 8]},
-            {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
-        ],
     },
     {
+        **_F4_3D4,
         "label": "threeD4",
         "family": "3D4",
-        "exact": True,
-        "parity": "odd",
         "anchor": "triality D4, odd q: single involution class, centralizer "
                   "SL(2,q^3) o SL(2,q) with a swap, size q^8(q^8+q^4+1)",
-        "valid": {"q_parity": "odd"},
-        "factors": [
-            {"kind": "qpow", "exp": [0, 8]},
-            {"kind": "poly", "terms": [[1, [0, 8]], [1, [0, 4]], [1, [0, 0]]]},
-        ],
     },
     {
         "label": "e6",

@@ -84,6 +84,9 @@ _PARAMETERS = {"A": ("n",), "SPOR": ("name",), "PSL": ("n", "q"), "PSU": ("n", "
 # The (family, n, q) inside a classical family's range that are not simple.
 _NOT_SIMPLE = {("PSL", 2, 2), ("PSL", 2, 3), ("PSU", 3, 2), ("PSp", 4, 2)}
 
+# (p, least a) of each Suzuki-Ree family, whose q is p^a with a odd.
+_SUZUKI_REE = {"2B2": (2, 3), "2G2": (3, 3), "2F4": (2, 1)}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -159,18 +162,12 @@ def group_spec(family: str, n: int | None = None, q: int | None = None,
     elif family == "E6":
         if eps not in ("+", "-"):
             raise ValueError(f"E6 sign must be + or -, got {eps!r}")
-    elif family in ("F4", "E7", "E8", "3D4"):
-        pass
-    elif family == "2B2":
-        if p != 2 or e % 2 == 0 or q < 8:
-            raise ValueError(f"2B2 needs q = 2^a with a odd >= 3, got {q}")
-    elif family == "2G2":
-        if p != 3 or e % 2 == 0 or q < 27:
-            raise ValueError(f"2G2 needs q = 3^a with a odd >= 3, got {q}")
-    elif family == "2F4":
-        if p != 2 or e % 2 == 0:
-            raise ValueError(f"2F4 needs q = 2^a with a odd, got {q}")
-    else:
+    elif family in _SUZUKI_REE:
+        prime, least = _SUZUKI_REE[family]
+        if p != prime or e % 2 == 0 or e < least:
+            floor = f" >= {least}" if least > 1 else ""
+            raise ValueError(f"{family} needs q = {prime}^a with a odd{floor}, got {q}")
+    elif family not in _PARAMETERS:
         raise ValueError(f"unknown family {family!r}")
     if (family, n, q) in _NOT_SIMPLE:
         raise ValueError(f"{family}({n},{q}) is not simple")

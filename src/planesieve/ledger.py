@@ -106,18 +106,13 @@ def _default_registry() -> Sequence[CaseCheck]:
     return REGISTRY
 
 
-def get_case(case_id: str, registry: Sequence[CaseCheck] | None = None) -> CaseCheck:
-    reg = _default_registry() if registry is None else registry
-    for case in reg:
-        if case.id == case_id:
-            return case
-    raise ValueError(f"unknown case id {case_id!r}")
-
-
 def replay(case_id: str, bound: int | None = None,
            registry: Sequence[CaseCheck] | None = None) -> CaseResult:
-    """Run one case.  A bound may only tighten the registered default."""
-    return _run(get_case(case_id, registry), bound)
+    """Run the first case with case_id.  A bound may only tighten its default."""
+    for case in _default_registry() if registry is None else registry:
+        if case.id == case_id:
+            return _run(case, bound)
+    raise ValueError(f"unknown case id {case_id!r}")
 
 
 def _run(case: CaseCheck, bound: int | None) -> CaseResult:

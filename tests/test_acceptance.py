@@ -5,12 +5,16 @@ computation refutes one clause of each at a specific point (q = 2 for
 the exceptional-group window, n = 26 for the unitary parabolic screen).
 Those two tests fail by design; each has a green companion directly
 after it pinning the form that does hold.  The README records both
-deviations.
+deviations.  The last test checks that the two reds fail with the
+witnesses they are kept for.
 """
 
 import json
 import time
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from planesieve import ledger
 from planesieve.cli import main as cli_main
@@ -204,3 +208,18 @@ def test_criterion_9_structured_report_is_parallelism_invariant(capsys):
     repeat = run("4")
     assert serial[0] == parallel[0] == repeat[0] == 0
     assert serial[1] == parallel[1] == repeat[1]
+
+
+def test_known_reds_fail_with_their_witnesses():
+    # a plain compile of this file, without pytest's assertion rewriting,
+    # so each red raises the bare message of its assert
+    plain = {"__name__": "plain_acceptance"}
+    exec(compile(Path(__file__).read_text(), __file__, "exec"), plain)
+    for name, witness in (
+        ("test_criterion_5_exceptional_window_sandwich_literal", (2, 374, 139503)),
+        ("test_criterion_8_unitary_parabolic_screen_literal",
+         ("counterexample", 1, 26, "index divisible by 11", True, "admissible", False)),
+    ):
+        with pytest.raises(AssertionError) as info:
+            plain[name]()
+        assert info.value.args == (witness,)

@@ -249,14 +249,21 @@ def test_group_spec_validation():
     with pytest.raises(ValueError):
         group_spec("POmega", n=8, q=3, eps="o")  # even n needs a sign
     with pytest.raises(ValueError):
-        group_spec("2B2", q=4)                 # odd power of 2 required
-    with pytest.raises(ValueError):
         group_spec("SPOR", name="M13")
     for family, kwargs, message in (
         ("A", {"n": 4}, "alternating degree must be >= 5, got 4"),
         ("PSL", {"n": 3}, "PSL requires a field size"),
         ("POmega", {"n": 8, "q": 3, "eps": "x"}, "POmega sign must be one of + - o, got 'x'"),
         ("XYZ", {"q": 4}, "unknown family 'XYZ'"),
+        ("XYZ", {"q": 6}, "XYZ: q = 6 is not a prime power"),  # q is checked first
+        ("2B2", {"q": 27}, "2B2 needs q = 2^a with a odd >= 3, got 27"),
+        ("2G2", {"q": 8}, "2G2 needs q = 3^a with a odd >= 3, got 8"),
+        ("2F4", {"q": 9}, "2F4 needs q = 2^a with a odd, got 9"),
+        ("2B2", {"q": 4}, "2B2 needs q = 2^a with a odd >= 3, got 4"),
+        ("2G2", {"q": 9}, "2G2 needs q = 3^a with a odd >= 3, got 9"),
+        ("2F4", {"q": 4}, "2F4 needs q = 2^a with a odd, got 4"),
+        ("2B2", {"q": 2}, "2B2 needs q = 2^a with a odd >= 3, got 2"),
+        ("2G2", {"q": 3}, "2G2 needs q = 3^a with a odd >= 3, got 3"),
         ("PSL", {"n": 2, "q": 2}, "PSL(2,2) is not simple"),
         ("PSL", {"n": 2, "q": 3}, "PSL(2,3) is not simple"),
         ("PSU", {"n": 3, "q": 2}, "PSU(3,2) is not simple"),

@@ -244,17 +244,18 @@ def test_verify_all_bound_routing():
     assert by_id["LJUNGGREN-SCAN"].verdict is Verdict.ELIMINATED
 
 
-def test_verify_all_runs_each_case_object_it_iterates(monkeypatch):
-    # two cases under one id: each runs its own check, and no case is
-    # looked up again by id
+def test_verify_all_runs_each_case_object_it_iterates():
+    # two cases under one id: verify_all runs each its own check, so no
+    # case is looked up again by id; replay runs the first of the two
     ran = []
     reg = tuple(CaseCheck(id="TOY-DUP", section="s", anchor="a", parameters="p",
                           check=lambda rec, _bound, tag=tag: ran.append(tag))
                 for tag in (1, 2))
-    monkeypatch.setattr(ledger, "get_case", None)
     results = list(ledger.verify_all(registry=reg))
     assert ran == [1, 2]
     assert all(res.case is case for res, case in zip(results, reg, strict=True))
+    assert ledger.replay("TOY-DUP", registry=reg).case is reg[0]
+    assert ran == [1, 2, 1]
 
 
 def _counting_registry(ran, n):
