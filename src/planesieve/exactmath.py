@@ -8,16 +8,17 @@ Everything here is deterministic and exact, with no floats: the package's
 comparisons rely on these primitives never rounding.  Factorization is
 trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
-variant of Pollard rho with a fixed parameter schedule; primality is
-Miller-Rabin with a base set proven for n's size.  Jaeschke's (1993) sets
-come first: the bases 2, 7, 61 decide every n below 4759123141 and 2, 13,
-23, 1662803 every n below 1122004669633.  Above those, the first k primes
-as bases decide every n below psi_k, the least strong pseudoprime to all
-of them: primes up to 13 below psi_6 = 3474749660383, up to 17 below
-psi_7 = 341550071728321, up to 23 below psi_9 = 3825123056546413051, up
-to 37 below psi_12 = 318665857834031151167461 and up to 41 below psi_13
-= 3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014;
-Sorenson and Webster 2015).  Above psi_13 the primes up to 97 make an unproven
+variant of Pollard rho with a fixed parameter schedule and one gcd per
+32 steps; primality is Miller-Rabin with a base set proven for n's size.
+Jaeschke's (1993) sets come first: the bases 2, 7, 61 decide every n
+below 4759123141 and 2, 13, 23, 1662803 every n below 1122004669633.
+Above those, the first k primes as bases decide every n below psi_k, the
+least strong pseudoprime to all of them: primes up to 13 below psi_6 =
+3474749660383, up to 17 below psi_7 = 341550071728321, up to 23 below
+psi_9 = 3825123056546413051, up to 37 below psi_12 =
+318665857834031151167461 and up to 41 below psi_13 =
+3317044064679887385961981 (Jaeschke 1993; Jiang and Deng 2014; Sorenson
+and Webster 2015).  Above psi_13 the primes up to 97 make an unproven
 fixed-base test: Arnault (1995) gives a 397-digit composite that is a
 strong pseudoprime to every prime base below 307.
 """
@@ -47,6 +48,10 @@ _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
 _TRIAL_BLOCKS = tuple((ps[0] ** 2, prod(ps), ps) for ps in (
     _SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32)))
+# the small primes p = 1 mod 3, and (product, primes) for each run of 32 of them
+_ONE_MOD_THREE = [p for p in _SMALL_PRIMES if p % 3 == 1]
+_ONE_MOD_THREE_BLOCKS = tuple((prod(ps), ps) for ps in (
+    _ONE_MOD_THREE[i : i + 32] for i in range(0, len(_ONE_MOD_THREE), 32)))
 
 # (bound, bases): those bases decide every n < bound exactly.  The first
 # two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
@@ -104,9 +109,12 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n, deterministic schedule."""
+    """One nontrivial factor of composite odd n, deterministic schedule.
+    The products of differences are batched 32 at a time between gcds: the
+    cofactors a scan hands over have a smallest prime of 14-20 bits, whose
+    cycles are short enough that a batch of 128 overshoots them."""
     for c in range(1, 1000):
-        y, m = 2, 128
+        y, m = 2, 32
         g = r = q = 1
         while g == 1:
             x = y
@@ -213,28 +221,41 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
     A root-class sieve (the sieving step of the quadratic sieve): only 3,
     at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
     != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  Primes
-    up to min(10**4, isqrt(Phi_3(hi))) are sieved out block by block, in
-    increasing p, so each value's primes are collected in order and need
-    no sorting; each cofactor, whose primes all lie above the sieved ones,
-    is finished by the rule factorize uses.
+    up to depth = min(10**4, isqrt(Phi_3(hi))) are sieved out block by
+    block, in increasing p, so each value's primes are collected in order
+    and need no sorting; each cofactor, whose primes all lie above the
+    sieved ones, is finished by the rule factorize uses.
+
+    Roots are found in one of two ways.  A short window, of n values with
+    32 * n <= depth, multiplies its values once and takes one gcd of that
+    product with each run of 32 primes = 1 mod 3, so only the primes up to
+    depth that divide one of its values get roots (76 of 611 over
+    950000..950100).  A longer window finds roots for every prime = 1 mod 3
+    up to depth: the product's cost grows with n**2, and at depth 10**4
+    it outweighs the full table from about 400 values on.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
     depth = min(_TRIAL_LIMIT, isqrt(hi * hi + hi + 1))
+    if 32 * (hi - lo + 1) <= depth:
+        window = prod(x * x + x + 1 for x in range(lo, hi + 1))
+        primes = [p for block, ps in _ONE_MOD_THREE_BLOCKS if (g := gcd(block, window)) > 1
+                  for p in ps if p <= depth and g % p == 0]
+    else:
+        primes = _ONE_MOD_THREE[: bisect.bisect_right(_ONE_MOD_THREE, depth)]
     roots = [(3, 1)]
-    for p in small_primes(depth):
-        if p % 3 == 1:
-            g = 2
-            while (w := pow(g, (p - 1) // 3, p)) == 1:
-                g += 1
-            roots += [(p, w), (p, p - 1 - w)]
+    for p in primes:
+        g = 2
+        while (w := pow(g, (p - 1) // 3, p)) == 1:
+            g += 1
+        roots += [(p, w), (p, p - 1 - w)]
     for start in range(lo, hi + 1, _SIEVE_BLOCK):
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
         rest = [x * x + x + 1 for x in xs]
         found: list[list[tuple[int, int]]] = [[] for _ in xs]
         n = len(xs)
-        # most roots of a short window miss the block: a miss costs one
-        # comparison here, where a range per root would be built for nothing
+        # a block of 2048 misses many roots of the primes above 2048: a miss
+        # costs one comparison here, where a range per root would be built for nothing
         for p, r in roots:
             i = (r - start) % p
             while i < n:

@@ -234,6 +234,7 @@ def test_factorize_reassembles(n):
 _PRIMES_PAST_LIMIT = _reference_sieve(10_100)
 _TRIAL_PRIMES = _PRIMES_PAST_LIMIT[:1229]
 _BLOCKS = [_TRIAL_PRIMES[i:i + 32] for i in range(0, 1229, 32)]
+_ONE_MOD_THREE = [p for p in _TRIAL_PRIMES if p % 3 == 1]
 _LARGE_PRIMES = (10**9 + 7, 2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
@@ -242,6 +243,11 @@ def test_trial_blocks_are_runs_of_32_small_primes():
     assert _TRIAL_PRIMES[-1] == 9973 and _PRIMES_PAST_LIMIT[1229] == 10_007
     for first_squared, block, primes in exactmath._TRIAL_BLOCKS:
         assert (first_squared, block) == (primes[0] ** 2, prod(primes))
+    assert len(_ONE_MOD_THREE) == 611
+    assert [primes for _, primes in exactmath._ONE_MOD_THREE_BLOCKS] == \
+        [_ONE_MOD_THREE[i:i + 32] for i in range(0, 611, 32)]
+    for block, primes in exactmath._ONE_MOD_THREE_BLOCKS:
+        assert block == prod(primes)
 
 
 def _trial_edge_values():
@@ -376,8 +382,8 @@ def test_phi3_sieve_windows(lo, width):
 
 @pytest.mark.parametrize("lo", [10_000, 100_000, 949_999])
 def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
-    # 101 values sieved to depth 10**4: nearly all of the roots land past
-    # the block's end, and every cofactor above 10001**2 goes to is_prime
+    # 101 values sieved to depth 10**4: roots are found only for the primes
+    # that divide a value, and every cofactor above 10001**2 goes to is_prime
     sympy = pytest.importorskip("sympy")
     hi = lo + 100
     assert isqrt(_phi3(hi)) >= 10_000
@@ -404,6 +410,60 @@ def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
     assert [is_prime(n) for n in tested] == [sympy.isprime(n) for n in tested]
     if lo == 949_999:
         assert len(tested) > 50 and max(tested) > 4_759_123_141
+
+
+def _sieve_with_root_primes(lo, hi):
+    """(the sieve's (value, factors) for lo..hi, the sorted primes it finds
+    roots for): the moduli up to 10**4 of its pow calls, as is_prime's
+    moduli lie above 10001**2."""
+    moduli = set()
+
+    def spy(*args):
+        if len(args) == 3 and args[2] <= 10_000:
+            moduli.add(args[2])
+        return builtins.pow(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactmath, "pow", spy, raising=False)
+        sieved = [(f.value, f.factors) for f in phi3_factorizations(lo, hi)]
+    return sieved, sorted(moduli)
+
+
+def test_phi3_sieve_finds_roots_only_for_the_primes_dividing_a_short_window():
+    # scan-high's window at seed 1: 76 of the 611 primes = 1 mod 3 up to
+    # 10**4 divide one of its 101 values, and only those get roots
+    lo, hi = 950_000, 950_100
+    _, primes = _sieve_with_root_primes(lo, hi)
+    assert primes == [p for p in _ONE_MOD_THREE
+                      if any(_phi3(x) % p == 0 for x in range(lo, hi + 1))]
+    assert len(primes) == 76
+
+
+# (first x, last x) of windows one value shorter than, as long as and one
+# value longer than the longest window with 32 * length <= depth.  Below
+# x = 10**4 the depth isqrt(Phi_3(hi)) is hi: 32 values from 1000 and 161
+# from 5000.  Above it the depth is 10**4: 312 values.
+_SWITCH_WINDOWS = [
+    *([(lo, lo + k - 1) for k in (n - 1, n, n + 1)]
+      for lo, n in ((1000, 32), (5000, 161), (10_000, 312), (500_000, 312))),
+    [(U_CAP - k + 1, U_CAP) for k in (311, 312, 313)],
+]
+
+
+@pytest.mark.parametrize("windows", _SWITCH_WINDOWS, ids=lambda ws: f"{ws[1][0]}..{ws[1][1]}")
+def test_phi3_sieve_switches_root_selection_at_the_stated_length(windows):
+    # the oracle shares no code with the sieve; it is run once on the union
+    # of the three windows, which share their first or their last x
+    lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+    oracle = dict(zip(range(lo, hi + 1), phi3_trial_division_factorizations(lo, hi)))
+    for k, (a, b) in enumerate(windows):
+        sieved, primes = _sieve_with_root_primes(a, b)
+        assert sieved == [oracle[x] for x in range(a, b + 1)], (a, b)
+        depth = min(10_000, isqrt(_phi3(b)))
+        every = [p for p in _ONE_MOD_THREE if p <= depth]
+        dividing = [p for p in every if any(_phi3(x) % p == 0 for x in range(a, b + 1))]
+        assert dividing != every
+        assert primes == (dividing if k < 2 else every), (a, b)
 
 
 def test_phi3_sieve_matches_sympy():
