@@ -10,6 +10,10 @@ trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule and one gcd per
 32 steps; primality is Miller-Rabin with a base set proven for n's size.
+The sieve of x**2 + x + 1 goes deeper in two stages: the primes up to
+10**4, then, out of the cofactors still at or above 10001**2, the primes
+= 1 mod 3 up to 6 * 10**4, so only cofactors at or above 60001**2 reach
+Miller-Rabin and rho.
 Jaeschke's (1993) sets come first: the bases 2, 7, 61 decide every n
 below 4759123141 and 2, 13, 23, 1662803 every n below 1122004669633.
 Above those, the first k primes as bases decide every n below psi_k, the
@@ -32,26 +36,40 @@ from itertools import compress
 from math import gcd, isqrt, prod
 
 _TRIAL_LIMIT = 10_000
+_DEEP_LIMIT = 60_000
 _SIEVE_BLOCK = 2048
 
 
-def _sieve(limit: int) -> list[int]:
+def _prime_flags(limit: int) -> bytearray:
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return list(compress(range(limit + 1), flags))
+            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return flags
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+def _sieve(limit: int) -> list[int]:
+    return list(compress(range(limit + 1), _prime_flags(limit)))
+
+
+def _runs_of_32(primes: list[int]) -> tuple[tuple[int, list[int]], ...]:
+    """(product, primes) for each run of 32 consecutive primes."""
+    return tuple((prod(ps), ps) for ps in (primes[i : i + 32] for i in range(0, len(primes), 32)))
+
+
+_FLAGS = _prime_flags(_DEEP_LIMIT)
+# the primes p = 1 mod 3 up to 6 * 10**4, read off the progression 1 mod 6
+# (listing every prime up to 6 * 10**4 costs more), split at 10**4
+_ONE_MOD_SIX = list(compress(range(7, _DEEP_LIMIT + 1, 6), _FLAGS[7::6]))
+_ONE_MOD_THREE = _ONE_MOD_SIX[: bisect.bisect(_ONE_MOD_SIX, _TRIAL_LIMIT)]
+_SMALL_PRIMES = sorted([2, 3, *compress(range(5, _TRIAL_LIMIT + 1, 6), _FLAGS[5::6]),
+                        *_ONE_MOD_THREE])
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
-_TRIAL_BLOCKS = tuple((ps[0] ** 2, prod(ps), ps) for ps in (
-    _SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32)))
-# the small primes p = 1 mod 3, and (product, primes) for each run of 32 of them
-_ONE_MOD_THREE = [p for p in _SMALL_PRIMES if p % 3 == 1]
-_ONE_MOD_THREE_BLOCKS = tuple((prod(ps), ps) for ps in (
-    _ONE_MOD_THREE[i : i + 32] for i in range(0, len(_ONE_MOD_THREE), 32)))
+_TRIAL_BLOCKS = tuple((ps[0] ** 2, block, ps) for block, ps in _runs_of_32(_SMALL_PRIMES))
+# (product, primes) for each run of 32 primes p = 1 mod 3 up to 10**4, and in (10**4, 6 * 10**4]
+_ONE_MOD_THREE_BLOCKS = _runs_of_32(_ONE_MOD_THREE)
+_DEEP_BLOCKS = _runs_of_32(_ONE_MOD_SIX[len(_ONE_MOD_THREE) :])
 
 # (bound, bases): those bases decide every n < bound exactly.  The first
 # two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
@@ -215,58 +233,92 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(acc))
 
 
-def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
-    """Factorizations of Phi_3(x) = x**2 + x + 1 for x = lo, ..., hi, in order.
+def _dividing(blocks: tuple[tuple[int, list[int]], ...], n: int, limit: int) -> list[int]:
+    """The primes up to limit in blocks that divide n, by one gcd per block."""
+    return [p for block, ps in blocks if (g := gcd(block, n)) > 1
+            for p in ps if p <= limit and g % p == 0]
 
-    A root-class sieve (the sieving step of the quadratic sieve): only 3,
-    at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
-    != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  Primes
-    up to depth = min(10**4, isqrt(Phi_3(hi))) are sieved out block by
-    block, in increasing p, so each value's primes are collected in order
-    and need no sorting; each cofactor, whose primes all lie above the
-    sieved ones, is finished by the rule factorize uses.
 
-    Roots are found in one of two ways.  A short window, of n values with
-    32 * n <= depth, multiplies its values once and takes one gcd of that
-    product with each run of 32 primes = 1 mod 3, so only the primes up to
-    depth that divide one of its values get roots (76 of 611 over
-    950000..950100).  A longer window finds roots for every prime = 1 mod 3
-    up to depth: the product's cost grows with n**2, and at depth 10**4
-    it outweighs the full table from about 400 values on.
-    """
-    if not 0 <= lo <= hi:
-        raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
-    depth = min(_TRIAL_LIMIT, isqrt(hi * hi + hi + 1))
-    if 32 * (hi - lo + 1) <= depth:
-        window = prod(x * x + x + 1 for x in range(lo, hi + 1))
-        primes = [p for block, ps in _ONE_MOD_THREE_BLOCKS if (g := gcd(block, window)) > 1
-                  for p in ps if p <= depth and g % p == 0]
-    else:
-        primes = _ONE_MOD_THREE[: bisect.bisect_right(_ONE_MOD_THREE, depth)]
-    roots = [(3, 1)]
+def _roots(primes: list[int]) -> list[tuple[int, int]]:
+    """(p, w) and (p, p - 1 - w) for each p = 1 mod 3, w = g**((p-1)/3) != 1:
+    the two roots of x**2 + x + 1 mod p."""
+    roots = []
     for p in primes:
         g = 2
         while (w := pow(g, (p - 1) // 3, p)) == 1:
             g += 1
         roots += [(p, w), (p, p - 1 - w)]
+    return roots
+
+
+def _strike(roots: list[tuple[int, int]], start: int, rest: list[int],
+            found: list[list[tuple[int, int]]]) -> None:
+    """Divide every power of p out of rest[i], the value at x = start + i,
+    for each root (p, r), and append (p, e) to found[i]."""
+    n = len(rest)
+    # a block of 2048 misses many roots of the primes above 2048: a miss
+    # costs one comparison here, where a range per root would be built for nothing
+    for p, r in roots:
+        i = (r - start) % p
+        while i < n:
+            m, e = rest[i] // p, 1
+            while m % p == 0:
+                m, e = m // p, e + 1
+            rest[i] = m
+            found[i].append((p, e))
+            i += p
+
+
+def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
+    """Factorizations of Phi_3(x) = x**2 + x + 1 for x = lo, ..., hi, in order.
+
+    A root-class sieve (the sieving step of the quadratic sieve): only 3,
+    at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
+    != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  They
+    are sieved block by block, in increasing p, so each value's primes are
+    collected in order and need no sorting.  The depth comes in two stages:
+    - the first sieves the primes up to depth = min(10**4, isqrt(Phi_3(hi)));
+    - the second runs when isqrt(Phi_3(hi)) > 10**4, and sieves the
+      primes in (10**4, 6 * 10**4] out of the cofactors still at or above
+      10001**2, block by block.
+    Each cofactor, whose primes all lie above the sieved ones, is then
+    finished by the rule factorize uses at depth min(6 * 10**4,
+    isqrt(Phi_3(hi))): it is 1 or prime with no test below that depth plus
+    one, squared, so only a cofactor at or above 60001**2 reaches is_prime
+    and rho.
+
+    Roots are found only where a gcd shows a prime may divide.  In the
+    first stage, a short window, of n values with 32 * n <= depth,
+    multiplies its values once and takes one gcd of that product with each
+    run of 32 primes = 1 mod 3, so only the primes that divide one of its
+    values get roots (76 of 611 over 950000..950100).  A longer window
+    finds roots for every prime = 1 mod 3 up to depth: the product's cost
+    grows with n**2, and at depth 10**4 it outweighs the full table from
+    about 400 values on.  The second stage takes one gcd of each block's
+    product of cofactors with each run of 32 deep primes (14 of 2403 get
+    roots over 950000..950100).
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
+    top = isqrt(hi * hi + hi + 1)
+    depth = min(_TRIAL_LIMIT, top)
+    if 32 * (hi - lo + 1) <= depth:
+        window = prod(x * x + x + 1 for x in range(lo, hi + 1))
+        primes = _dividing(_ONE_MOD_THREE_BLOCKS, window, depth)
+    else:
+        primes = _ONE_MOD_THREE[: bisect.bisect_right(_ONE_MOD_THREE, depth)]
+    roots = [(3, 1), *_roots(primes)]
+    deep, floor = min(_DEEP_LIMIT, top), (depth + 1) ** 2
     for start in range(lo, hi + 1, _SIEVE_BLOCK):
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
         rest = [x * x + x + 1 for x in xs]
         found: list[list[tuple[int, int]]] = [[] for _ in xs]
-        n = len(xs)
-        # a block of 2048 misses many roots of the primes above 2048: a miss
-        # costs one comparison here, where a range per root would be built for nothing
-        for p, r in roots:
-            i = (r - start) % p
-            while i < n:
-                m, e = rest[i] // p, 1
-                while m % p == 0:
-                    m, e = m // p, e + 1
-                rest[i] = m
-                found[i].append((p, e))
-                i += p
+        _strike(roots, start, rest, found)
+        if deep > depth:
+            cofactors = prod(m for m in rest if m >= floor)
+            _strike(_roots(_dividing(_DEEP_BLOCKS, cofactors, deep)), start, rest, found)
         for x, m, acc in zip(xs, rest, found):
-            _factor_into(m, depth, acc)
+            _factor_into(m, deep, acc)
             yield Factorization(x * x + x + 1, tuple(acc))
 
 

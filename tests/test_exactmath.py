@@ -235,6 +235,8 @@ _PRIMES_PAST_LIMIT = _reference_sieve(10_100)
 _TRIAL_PRIMES = _PRIMES_PAST_LIMIT[:1229]
 _BLOCKS = [_TRIAL_PRIMES[i:i + 32] for i in range(0, 1229, 32)]
 _ONE_MOD_THREE = [p for p in _TRIAL_PRIMES if p % 3 == 1]
+# the second sieve stage's depth: primes = 1 mod 3 in (10**4, 6 * 10**4]
+_DEEP = 60_000
 _LARGE_PRIMES = (10**9 + 7, 2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
@@ -247,6 +249,15 @@ def test_trial_blocks_are_runs_of_32_small_primes():
     assert [primes for _, primes in exactmath._ONE_MOD_THREE_BLOCKS] == \
         [_ONE_MOD_THREE[i:i + 32] for i in range(0, 611, 32)]
     for block, primes in exactmath._ONE_MOD_THREE_BLOCKS:
+        assert block == prod(primes)
+
+
+def test_deep_blocks_are_runs_of_32_primes_one_mod_three_up_to_the_deep_limit():
+    deep = [p for p in _reference_sieve(_DEEP) if p > 10_000 and p % 3 == 1]
+    assert len(deep) == 2403 and deep[0] == 10_009 and deep[-1] == 59_971
+    assert [primes for _, primes in exactmath._DEEP_BLOCKS] == \
+        [deep[i:i + 32] for i in range(0, 2403, 32)]
+    for block, primes in exactmath._DEEP_BLOCKS:
         assert block == prod(primes)
 
 
@@ -382,8 +393,9 @@ def test_phi3_sieve_windows(lo, width):
 
 @pytest.mark.parametrize("lo", [10_000, 100_000, 949_999])
 def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
-    # 101 values sieved to depth 10**4: roots are found only for the primes
-    # that divide a value, and every cofactor above 10001**2 goes to is_prime
+    # 101 values sieved to depth 10**4, where roots are found only for the
+    # primes that divide a value, then the cofactors at or above 10001**2 to
+    # 6 * 10**4: only a cofactor at or above 60001**2 goes to is_prime
     sympy = pytest.importorskip("sympy")
     hi = lo + 100
     assert isqrt(_phi3(hi)) >= 10_000
@@ -406,20 +418,22 @@ def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
         # 950100 means seconds of CPU and hundreds of MB
         assert [f.factors for f in sieved] == \
             [tuple(sorted(sympy.factorint(_phi3(x)).items())) for x in range(lo, hi + 1)]
-    assert all(n >= 10_001**2 for n in tested)
+    assert all(n >= (_DEEP + 1)**2 for n in tested)
     assert [is_prime(n) for n in tested] == [sympy.isprime(n) for n in tested]
     if lo == 949_999:
-        assert len(tested) > 50 and max(tested) > 4_759_123_141
+        # some of the 34 lie in Miller-Rabin's 4-base tier
+        assert len(tested) == 34 and max(tested) > 4_759_123_141
 
 
-def _sieve_with_root_primes(lo, hi):
-    """(the sieve's (value, factors) for lo..hi, the sorted primes it finds
-    roots for): the moduli up to 10**4 of its pow calls, as is_prime's
-    moduli lie above 10001**2."""
+def _sieve_with_root_primes(lo, hi, limit=10_000):
+    """(the sieve's (value, factors) for lo..hi, the sorted primes up to
+    limit it finds roots for): the moduli up to limit of its pow calls.
+    The first stage's moduli lie up to 10**4, the second stage's in
+    (10**4, 6 * 10**4] and is_prime's above 60001**2."""
     moduli = set()
 
     def spy(*args):
-        if len(args) == 3 and args[2] <= 10_000:
+        if len(args) == 3 and args[2] <= limit:
             moduli.add(args[2])
         return builtins.pow(*args)
 
@@ -500,6 +514,74 @@ def test_phi3_sieve_near_the_cap_matches_trial_division_oracle():
     lo = U_CAP - 99
     assert [(f.value, f.factors) for f in phi3_factorizations(lo, U_CAP)] == \
         phi3_trial_division_factorizations(lo, U_CAP)
+
+
+def test_phi3_deep_stage_short_windows_at_the_cap_match_trial_division_oracle():
+    # windows of 1 to 313 values ending at U_CAP: the first stage finds roots
+    # for the dividing primes up to 312 values and for all from 313 on, and
+    # the second stage sieves each window's cofactors on to 6 * 10**4
+    lengths = (1, 2, 5, 100, 312, 313)
+    oracle = phi3_trial_division_factorizations(U_CAP - max(lengths) + 1, U_CAP)
+    for k in lengths:
+        assert [(f.value, f.factors) for f in phi3_factorizations(U_CAP - k + 1, U_CAP)] == \
+            oracle[-k:], k
+
+
+# windows whose hi crosses a depth switch: isqrt(Phi_3(hi)) passes 10**4 at
+# hi = 10001, where the second stage starts, and 6 * 10**4 at hi = 60000,
+# where its depth stops growing.  x = 11193 is the first value past 10**4
+# with two primes above 10**4 (10477 * 11959); x = 59931 has 15907 * 32257.
+_DEPTH_SWITCH_WINDOWS = {
+    "1e4": [(9_990, 10_000), (9_990, 10_001), (10_000, 10_100), (11_150, 11_193),
+            (9_990, 11_193)],
+    "6e4": [(59_900, 59_999), (59_931, 60_000), (59_990, 60_001), (59_999, 60_300),
+            (59_900, 60_300)],
+}
+
+
+@pytest.mark.parametrize("switch", sorted(_DEPTH_SWITCH_WINDOWS))
+def test_phi3_sieve_windows_across_the_depth_switches(switch):
+    windows = _DEPTH_SWITCH_WINDOWS[switch]
+    lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+    oracle = dict(zip(range(lo, hi + 1), phi3_trial_division_factorizations(lo, hi)))
+    for a, b in windows:
+        assert [(f.value, f.factors) for f in phi3_factorizations(a, b)] == \
+            [oracle[x] for x in range(a, b + 1)], (a, b)
+
+
+def test_phi3_deep_stage_across_blocks_matches_sympy():
+    # 2101 values above 6 * 10**4 span two sieve blocks of 2048, each with
+    # its own second stage: a depth carried from one block into the next
+    # shows on no single-block window
+    sympy = pytest.importorskip("sympy")
+    lo, hi = 500_000, 502_100
+    for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
+        assert f.factors == tuple(sorted(sympy.factorint(_phi3(x)).items())), x
+
+
+def test_phi3_deep_stage_leaves_is_prime_and_rho_only_cofactors_past_its_depth(monkeypatch):
+    # scan-high's window at seed 1.  The second stage finds roots only for
+    # the primes in (10**4, 6 * 10**4] that divide a cofactor at or above
+    # 10001**2.  is_prime then sees only the 33 cofactors at or above
+    # 60001**2, and rho splits 3 of them; a sieve stopping at 10**4 hands
+    # is_prime 61 cofactors and rho 16.
+    sympy = pytest.importorskip("sympy")
+    lo, hi = 950_000, 950_100
+    calls = {"is_prime": [], "_brent_rho": []}
+    for name, seen in calls.items():
+        real = getattr(exactmath, name)
+        monkeypatch.setattr(exactmath, name, lambda n, real=real, seen=seen: seen.append(n) or real(n))
+    sieved, primes = _sieve_with_root_primes(lo, hi, _DEEP)
+    monkeypatch.undo()
+    factors = [tuple(sorted(sympy.factorint(_phi3(x)).items())) for x in range(lo, hi + 1)]
+    assert [f for _, f in sieved] == factors
+    dividing = set()
+    for fs in factors:
+        if prod(p**e for p, e in fs if p > 10_000) >= 10_001**2:
+            dividing.update(p for p, _ in fs if 10_000 < p <= _DEEP)
+    assert [p for p in primes if p > 10_000] == sorted(dividing)
+    assert all(n >= (_DEEP + 1)**2 for n in calls["is_prime"])
+    assert (len(calls["is_prime"]), len(calls["_brent_rho"])) == (33, 3)
 
 
 def test_phi3_sieve_rejects_bad_windows():
