@@ -58,6 +58,18 @@ def _runs_of_32(primes: list[int]) -> tuple[tuple[int, list[int]], ...]:
     return tuple((prod(ps), ps) for ps in (primes[i : i + 32] for i in range(0, len(primes), 32)))
 
 
+def _roots(primes: list[int]) -> list[tuple[int, int]]:
+    """(p, w) and (p, p - 1 - w) for each p = 1 mod 3, w = g**((p-1)/3) != 1:
+    the two roots of x**2 + x + 1 mod p."""
+    roots = []
+    for p in primes:
+        g = 2
+        while (w := pow(g, (p - 1) // 3, p)) == 1:
+            g += 1
+        roots += (p, w), (p, p - 1 - w)
+    return roots
+
+
 _FLAGS = _prime_flags(_DEEP_LIMIT)
 # the primes p = 1 mod 3 up to 6 * 10**4, read off the progression 1 mod 6
 # (listing every prime up to 6 * 10**4 costs more), split at 10**4
@@ -67,8 +79,9 @@ _SMALL_PRIMES = sorted([2, 3, *compress(range(5, _TRIAL_LIMIT + 1, 6), _FLAGS[5:
                         *_ONE_MOD_THREE])
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
 _TRIAL_BLOCKS = tuple((ps[0] ** 2, block, ps) for block, ps in _runs_of_32(_SMALL_PRIMES))
-# (product, primes) for each run of 32 primes p = 1 mod 3 up to 10**4, and in (10**4, 6 * 10**4]
-_ONE_MOD_THREE_BLOCKS = _runs_of_32(_ONE_MOD_THREE)
+# the two roots (p, w), (p, p - 1 - w) of each prime p = 1 mod 3 up to 10**4, in increasing p
+_ONE_MOD_THREE_ROOTS = _roots(_ONE_MOD_THREE)
+# (product, primes) for each run of 32 primes p = 1 mod 3 in (10**4, 6 * 10**4]
 _DEEP_BLOCKS = _runs_of_32(_ONE_MOD_SIX[len(_ONE_MOD_THREE) :])
 
 # (bound, bases): those bases decide every n < bound exactly.  The first
@@ -233,22 +246,10 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(acc))
 
 
-def _dividing(blocks: tuple[tuple[int, list[int]], ...], n: int, limit: int) -> list[int]:
-    """The primes up to limit in blocks that divide n, by one gcd per block."""
-    return [p for block, ps in blocks if (g := gcd(block, n)) > 1
+def _dividing(n: int, limit: int) -> list[int]:
+    """The primes in _DEEP_BLOCKS up to limit that divide n, by one gcd per block."""
+    return [p for block, ps in _DEEP_BLOCKS if (g := gcd(block, n)) > 1
             for p in ps if p <= limit and g % p == 0]
-
-
-def _roots(primes: list[int]) -> list[tuple[int, int]]:
-    """(p, w) and (p, p - 1 - w) for each p = 1 mod 3, w = g**((p-1)/3) != 1:
-    the two roots of x**2 + x + 1 mod p."""
-    roots = []
-    for p in primes:
-        g = 2
-        while (w := pow(g, (p - 1) // 3, p)) == 1:
-            g += 1
-        roots += [(p, w), (p, p - 1 - w)]
-    return roots
 
 
 def _strike(roots: list[tuple[int, int]], start: int, rest: list[int],
@@ -287,27 +288,16 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
     one, squared, so only a cofactor at or above 60001**2 reaches is_prime
     and rho.
 
-    Roots are found only where a gcd shows a prime may divide.  In the
-    first stage, a short window, of n values with 32 * n <= depth,
-    multiplies its values once and takes one gcd of that product with each
-    run of 32 primes = 1 mod 3, so only the primes that divide one of its
-    values get roots (76 of 611 over 950000..950100).  A longer window
-    finds roots for every prime = 1 mod 3 up to depth: the product's cost
-    grows with n**2, and at depth 10**4 it outweighs the full table from
-    about 400 values on.  The second stage takes one gcd of each block's
-    product of cofactors with each run of 32 deep primes (14 of 2403 get
-    roots over 950000..950100).
+    The first stage takes the roots of the primes = 1 mod 3 up to depth
+    from a table of all 611 below 10**4, built at import.  The second finds
+    roots only for the deep primes that divide a block's product of
+    cofactors, by one gcd per run of 32 (14 of 2403 over 950000..950100).
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
     top = isqrt(hi * hi + hi + 1)
     depth = min(_TRIAL_LIMIT, top)
-    if 32 * (hi - lo + 1) <= depth:
-        window = prod(x * x + x + 1 for x in range(lo, hi + 1))
-        primes = _dividing(_ONE_MOD_THREE_BLOCKS, window, depth)
-    else:
-        primes = _ONE_MOD_THREE[: bisect.bisect_right(_ONE_MOD_THREE, depth)]
-    roots = [(3, 1), *_roots(primes)]
+    roots = [(3, 1), *_ONE_MOD_THREE_ROOTS[: 2 * bisect.bisect_right(_ONE_MOD_THREE, depth)]]
     deep, floor = min(_DEEP_LIMIT, top), (depth + 1) ** 2
     for start in range(lo, hi + 1, _SIEVE_BLOCK):
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
@@ -316,7 +306,7 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
         _strike(roots, start, rest, found)
         if deep > depth:
             cofactors = prod(m for m in rest if m >= floor)
-            _strike(_roots(_dividing(_DEEP_BLOCKS, cofactors, deep)), start, rest, found)
+            _strike(_roots(_dividing(cofactors, deep)), start, rest, found)
         for x, m, acc in zip(xs, rest, found):
             _factor_into(m, deep, acc)
             yield Factorization(x * x + x + 1, tuple(acc))

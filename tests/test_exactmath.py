@@ -245,11 +245,17 @@ def test_trial_blocks_are_runs_of_32_small_primes():
     assert _TRIAL_PRIMES[-1] == 9973 and _PRIMES_PAST_LIMIT[1229] == 10_007
     for first_squared, block, primes in exactmath._TRIAL_BLOCKS:
         assert (first_squared, block) == (primes[0] ** 2, prod(primes))
+
+
+def test_root_table_holds_both_roots_of_each_prime_one_mod_three_below_the_trial_limit():
+    # (p, r), (p, r') for each of the 611 primes p = 1 mod 3 below 10**4, in
+    # increasing p: two distinct roots of x**2 + x + 1 mod p, with r + r' = p - 1
+    table = exactmath._ONE_MOD_THREE_ROOTS
     assert len(_ONE_MOD_THREE) == 611
-    assert [primes for _, primes in exactmath._ONE_MOD_THREE_BLOCKS] == \
-        [_ONE_MOD_THREE[i:i + 32] for i in range(0, 611, 32)]
-    for block, primes in exactmath._ONE_MOD_THREE_BLOCKS:
-        assert block == prod(primes)
+    assert [p for p, _ in table[::2]] == [p for p, _ in table[1::2]] == _ONE_MOD_THREE
+    for (p, r), (_, s) in zip(table[::2], table[1::2]):
+        assert 0 <= r < p and 0 <= s < p and r != s and r + s == p - 1, (p, r, s)
+        assert (r * r + r + 1) % p == 0 and (s * s + s + 1) % p == 0, (p, r, s)
 
 
 def test_deep_blocks_are_runs_of_32_primes_one_mod_three_up_to_the_deep_limit():
@@ -393,9 +399,9 @@ def test_phi3_sieve_windows(lo, width):
 
 @pytest.mark.parametrize("lo", [10_000, 100_000, 949_999])
 def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
-    # 101 values sieved to depth 10**4, where roots are found only for the
-    # primes that divide a value, then the cofactors at or above 10001**2 to
-    # 6 * 10**4: only a cofactor at or above 60001**2 goes to is_prime
+    # 101 values sieved to depth 10**4 with the import-time root table, then
+    # the cofactors at or above 10001**2 to 6 * 10**4: only a cofactor at or
+    # above 60001**2 goes to is_prime
     sympy = pytest.importorskip("sympy")
     hi = lo + 100
     assert isqrt(_phi3(hi)) >= 10_000
@@ -428,8 +434,9 @@ def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
 def _sieve_with_root_primes(lo, hi, limit=10_000):
     """(the sieve's (value, factors) for lo..hi, the sorted primes up to
     limit it finds roots for): the moduli up to limit of its pow calls.
-    The first stage's moduli lie up to 10**4, the second stage's in
-    (10**4, 6 * 10**4] and is_prime's above 60001**2."""
+    The first stage calls no pow, as its roots come from a table built at
+    import; the second stage's moduli lie in (10**4, 6 * 10**4] and
+    is_prime's above 60001**2."""
     moduli = set()
 
     def spy(*args):
@@ -443,41 +450,35 @@ def _sieve_with_root_primes(lo, hi, limit=10_000):
     return sieved, sorted(moduli)
 
 
-def test_phi3_sieve_finds_roots_only_for_the_primes_dividing_a_short_window():
-    # scan-high's window at seed 1: 76 of the 611 primes = 1 mod 3 up to
-    # 10**4 divide one of its 101 values, and only those get roots
-    lo, hi = 950_000, 950_100
-    _, primes = _sieve_with_root_primes(lo, hi)
-    assert primes == [p for p in _ONE_MOD_THREE
-                      if any(_phi3(x) % p == 0 for x in range(lo, hi + 1))]
-    assert len(primes) == 76
+@pytest.mark.parametrize("lo, hi", [(950_000, 950_100), (1, 1500), (1, 2000), (20_000, 22_100)])
+def test_phi3_sieve_computes_no_root_modulo_a_prime_up_to_the_trial_limit(lo, hi):
+    # the first stage reads every root from the import-time table, whatever
+    # the window's length; (20_000, 22_100) spans two sieve blocks of 2048
+    sieved, primes = _sieve_with_root_primes(lo, hi)
+    assert primes == []
+    assert sieved == [(_phi3(x), factorize(_phi3(x)).factors) for x in range(lo, hi + 1)]
 
 
-# (first x, last x) of windows one value shorter than, as long as and one
-# value longer than the longest window with 32 * length <= depth.  Below
-# x = 10**4 the depth isqrt(Phi_3(hi)) is hi: 32 values from 1000 and 161
-# from 5000.  Above it the depth is 10**4: 312 values.
-_SWITCH_WINDOWS = [
+# (first x, last x) of windows of n - 1, n and n + 1 values.  From 1000 and
+# 5000 the depth isqrt(Phi_3(hi)) is hi; from 10**4 the first stage's depth is
+# 10**4 and the second stage starts; from 500_000 and up to U_CAP both stages
+# sieve to their full depths.
+_DEPTH_EDGE_WINDOWS = [
     *([(lo, lo + k - 1) for k in (n - 1, n, n + 1)]
       for lo, n in ((1000, 32), (5000, 161), (10_000, 312), (500_000, 312))),
     [(U_CAP - k + 1, U_CAP) for k in (311, 312, 313)],
 ]
 
 
-@pytest.mark.parametrize("windows", _SWITCH_WINDOWS, ids=lambda ws: f"{ws[1][0]}..{ws[1][1]}")
-def test_phi3_sieve_switches_root_selection_at_the_stated_length(windows):
+@pytest.mark.parametrize("windows", _DEPTH_EDGE_WINDOWS, ids=lambda ws: f"{ws[1][0]}..{ws[1][1]}")
+def test_phi3_sieve_windows_at_the_depth_edges_match_trial_division_oracle(windows):
     # the oracle shares no code with the sieve; it is run once on the union
     # of the three windows, which share their first or their last x
     lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
     oracle = dict(zip(range(lo, hi + 1), phi3_trial_division_factorizations(lo, hi)))
-    for k, (a, b) in enumerate(windows):
-        sieved, primes = _sieve_with_root_primes(a, b)
-        assert sieved == [oracle[x] for x in range(a, b + 1)], (a, b)
-        depth = min(10_000, isqrt(_phi3(b)))
-        every = [p for p in _ONE_MOD_THREE if p <= depth]
-        dividing = [p for p in every if any(_phi3(x) % p == 0 for x in range(a, b + 1))]
-        assert dividing != every
-        assert primes == (dividing if k < 2 else every), (a, b)
+    for a, b in windows:
+        assert [(f.value, f.factors) for f in phi3_factorizations(a, b)] == \
+            [oracle[x] for x in range(a, b + 1)], (a, b)
 
 
 def test_phi3_sieve_matches_sympy():
@@ -517,9 +518,8 @@ def test_phi3_sieve_near_the_cap_matches_trial_division_oracle():
 
 
 def test_phi3_deep_stage_short_windows_at_the_cap_match_trial_division_oracle():
-    # windows of 1 to 313 values ending at U_CAP: the first stage finds roots
-    # for the dividing primes up to 312 values and for all from 313 on, and
-    # the second stage sieves each window's cofactors on to 6 * 10**4
+    # windows of 1 to 313 values ending at U_CAP: the first stage sieves to
+    # 10**4, and the second stage sieves each window's cofactors on to 6 * 10**4
     lengths = (1, 2, 5, 100, 312, 313)
     oracle = phi3_trial_division_factorizations(U_CAP - max(lengths) + 1, U_CAP)
     for k in lengths:
