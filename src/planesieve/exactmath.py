@@ -10,9 +10,12 @@ trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule and one gcd per
 32 steps; primality is Miller-Rabin with a base set proven for n's size.
-The sieve of x**2 + x + 1 goes deeper in two stages: the primes up to
-10**4, then, out of the cofactors still at or above 10001**2, the primes
-= 1 mod 3 up to 6 * 10**4, so only cofactors at or above 60001**2 reach
+The sieve of x**2 + x + 1 sieves the primes up to 10**4, then the primes
+= 1 mod 3 up to 2 * 10**5 in three deep stages, each over the cofactors
+still at or above its previous limit plus one, squared.  A stage picks
+the primes that divide a block by one remainder of its prime product
+modulo the block's product of cofactors (Bernstein, "How to find smooth
+parts of integers", 2004), so only cofactors at or above 200001**2 reach
 Miller-Rabin and rho.
 Jaeschke's (1993) sets come first: the bases 2, 7, 61 decide every n
 below 4759123141 and 2, 13, 23, 1662803 every n below 1122004669633.
@@ -32,11 +35,13 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, pairwise
 from math import gcd, isqrt, prod
 
 _TRIAL_LIMIT = 10_000
-_DEEP_LIMIT = 60_000
+# the deep stages sieve the primes = 1 mod 3 in (10**4, 3 * 10**4],
+# (3 * 10**4, 10**5] and (10**5, 2 * 10**5]
+_STAGE_LIMITS = (30_000, 100_000, 200_000)
 _SIEVE_BLOCK = 2048
 
 
@@ -50,12 +55,14 @@ def _prime_flags(limit: int) -> bytearray:
 
 
 def _sieve(limit: int) -> list[int]:
-    return list(compress(range(limit + 1), _prime_flags(limit)))
+    """The primes up to limit >= 2, read off the odd entries of one sieve
+    through a memoryview, which copies nothing."""
+    return [2, *compress(range(3, limit + 1, 2), memoryview(_prime_flags(limit))[3::2])]
 
 
-def _runs_of_32(primes: list[int]) -> tuple[tuple[int, list[int]], ...]:
-    """(product, primes) for each run of 32 consecutive primes."""
-    return tuple((prod(ps), ps) for ps in (primes[i : i + 32] for i in range(0, len(primes), 32)))
+def _runs(primes: list[int], n: int) -> tuple[tuple[int, list[int]], ...]:
+    """(product, primes) for each run of n consecutive primes."""
+    return tuple((prod(ps), ps) for ps in (primes[i : i + n] for i in range(0, len(primes), n)))
 
 
 def _roots(primes: list[int]) -> list[tuple[int, int]]:
@@ -70,19 +77,39 @@ def _roots(primes: list[int]) -> list[tuple[int, int]]:
     return roots
 
 
-_FLAGS = _prime_flags(_DEEP_LIMIT)
-# the primes p = 1 mod 3 up to 6 * 10**4, read off the progression 1 mod 6
-# (listing every prime up to 6 * 10**4 costs more), split at 10**4
-_ONE_MOD_SIX = list(compress(range(7, _DEEP_LIMIT + 1, 6), _FLAGS[7::6]))
-_ONE_MOD_THREE = _ONE_MOD_SIX[: bisect.bisect(_ONE_MOD_SIX, _TRIAL_LIMIT)]
-_SMALL_PRIMES = sorted([2, 3, *compress(range(5, _TRIAL_LIMIT + 1, 6), _FLAGS[5::6]),
-                        *_ONE_MOD_THREE])
+def _one_mod_six_primes(below: int, limit: int) -> list[int]:
+    """The primes = 1 mod 6 in (below, limit], limit < 10**8, sieved on that
+    progression alone: flags[i] stands for 7 + 6i, and the multiples there of
+    a prime p >= 5 are p**2 = 1 mod 6 and every p-th entry after it."""
+    flags = bytearray([1]) * len(range(7, limit + 1, 6))
+    for p in _SMALL_PRIMES[2 : bisect.bisect(_SMALL_PRIMES, isqrt(limit))]:
+        i = (p * p - 7) // 6
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    first = (below - 1) // 6
+    return list(compress(range(7 + 6 * first, limit + 1, 6), flags[first:]))
+
+
+def _deep_stages() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, list[int]], ...]], ...]:
+    """(previous limit, group products, runs) for each deep stage: runs
+    holds (product, primes) for each run of 128 of the stage's primes = 1
+    mod 3, and each group product is that of two consecutive runs."""
+    primes = _one_mod_six_primes(_TRIAL_LIMIT, _STAGE_LIMITS[-1])
+    stages = []
+    for below, limit in pairwise((_TRIAL_LIMIT, *_STAGE_LIMITS)):
+        runs = _runs(primes[bisect.bisect(primes, below) : bisect.bisect(primes, limit)], 128)
+        groups = tuple(prod(r for r, _ in runs[i : i + 2]) for i in range(0, len(runs), 2))
+        stages.append((below, groups, runs))
+    return tuple(stages)
+
+
+_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_ONE_MOD_THREE = [p for p in _SMALL_PRIMES if p % 3 == 1]
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
-_TRIAL_BLOCKS = tuple((ps[0] ** 2, block, ps) for block, ps in _runs_of_32(_SMALL_PRIMES))
+_TRIAL_BLOCKS = tuple((ps[0] ** 2, block, ps) for block, ps in _runs(_SMALL_PRIMES, 32))
 # the two roots (p, w), (p, p - 1 - w) of each prime p = 1 mod 3 up to 10**4, in increasing p
 _ONE_MOD_THREE_ROOTS = _roots(_ONE_MOD_THREE)
-# (product, primes) for each run of 32 primes p = 1 mod 3 in (10**4, 6 * 10**4]
-_DEEP_BLOCKS = _runs_of_32(_ONE_MOD_SIX[len(_ONE_MOD_THREE) :])
+# the primes = 1 mod 3 in (10**4, 2 * 10**5], stage by stage
+_DEEP_STAGES = _deep_stages()
 
 # (bound, bases): those bases decide every n < bound exactly.  The first
 # two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
@@ -141,9 +168,10 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite odd n, deterministic schedule.
-    The products of differences are batched 32 at a time between gcds: the
-    cofactors a scan hands over have a smallest prime of 14-20 bits, whose
-    cycles are short enough that a batch of 128 overshoots them."""
+    The products of differences are batched 32 at a time between gcds, so
+    a cycle is overshot by at most 31 steps.  A scan hands rho only
+    cofactors below Phi_3(10**6) whose least prime p lies in (2 * 10**5,
+    10**6]: their cycles take about sqrt(pi * p / 2), 560 to 1250 steps."""
     for c in range(1, 1000):
         y, m = 2, 32
         g = r = q = 1
@@ -246,10 +274,18 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(acc))
 
 
-def _dividing(n: int, limit: int) -> list[int]:
-    """The primes in _DEEP_BLOCKS up to limit that divide n, by one gcd per block."""
-    return [p for block, ps in _DEEP_BLOCKS if (g := gcd(block, n)) > 1
-            for p in ps if p <= limit and g % p == 0]
+def _dividing(g: int, runs: tuple[tuple[int, list[int]], ...]) -> list[int]:
+    """The primes of runs that divide g, a product of distinct primes of
+    runs: one gcd per run, in increasing order, until g is spent.  A run's
+    gcd h is one prime unless h exceeds the run's largest prime."""
+    dividing: list[int] = []
+    for run, primes in runs:
+        if g == 1:
+            break
+        if (h := gcd(run, g)) > 1:
+            g //= h
+            dividing += [h] if h <= primes[-1] else [p for p in primes if h % p == 0]
+    return dividing
 
 
 def _strike(roots: list[tuple[int, int]], start: int, rest: list[int],
@@ -277,36 +313,47 @@ def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
     at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
     != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  They
     are sieved block by block, in increasing p, so each value's primes are
-    collected in order and need no sorting.  The depth comes in two stages:
+    collected in order and need no sorting.  The depth comes in stages:
     - the first sieves the primes up to depth = min(10**4, isqrt(Phi_3(hi)));
-    - the second runs when isqrt(Phi_3(hi)) > 10**4, and sieves the
-      primes in (10**4, 6 * 10**4] out of the cofactors still at or above
-      10001**2, block by block.
+    - three deep stages follow, each while isqrt(Phi_3(hi)) exceeds its
+      previous limit: block by block, they sieve the primes in (10**4,
+      3 * 10**4], (3 * 10**4, 10**5] and (10**5, 2 * 10**5] out of the
+      cofactors still at or above 10001**2, 30001**2 and 100001**2.
     Each cofactor, whose primes all lie above the sieved ones, is then
-    finished by the rule factorize uses at depth min(6 * 10**4,
+    finished by the rule factorize uses at depth min(2 * 10**5,
     isqrt(Phi_3(hi))): it is 1 or prime with no test below that depth plus
-    one, squared, so only a cofactor at or above 60001**2 reaches is_prime
-    and rho.
+    one, squared, so only a cofactor at or above 200001**2 reaches
+    is_prime and rho.
 
     The first stage takes the roots of the primes = 1 mod 3 up to depth
-    from a table of all 611 below 10**4, built at import.  The second finds
-    roots only for the deep primes that divide a block's product of
-    cofactors, by one gcd per run of 32 (14 of 2403 over 950000..950100).
+    from a table of all 611 below 10**4, built at import.  A deep stage
+    finds roots only for its primes that divide the block's product C of
+    those cofactors (16 of 8377 over 950000..950100): one remainder r of
+    the stage's prime product, r = prod(G mod C) mod C over its group
+    products G of 256 primes, gives their product gcd(r, C) (Bernstein
+    2004), and one gcd per run of 128 primes splits it.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
     top = isqrt(hi * hi + hi + 1)
     depth = min(_TRIAL_LIMIT, top)
     roots = [(3, 1), *_ONE_MOD_THREE_ROOTS[: 2 * bisect.bisect_right(_ONE_MOD_THREE, depth)]]
-    deep, floor = min(_DEEP_LIMIT, top), (depth + 1) ** 2
+    deep = min(_STAGE_LIMITS[-1], top)
     for start in range(lo, hi + 1, _SIEVE_BLOCK):
         xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
         rest = [x * x + x + 1 for x in xs]
         found: list[list[tuple[int, int]]] = [[] for _ in xs]
         _strike(roots, start, rest, found)
-        if deep > depth:
-            cofactors = prod(m for m in rest if m >= floor)
-            _strike(_roots(_dividing(cofactors, deep)), start, rest, found)
+        for below, groups, runs in _DEEP_STAGES:
+            if below >= deep:
+                break
+            cofactors = prod(m for m in rest if m >= (below + 1) ** 2)
+            r = 1
+            for group in groups:
+                r = r * (group % cofactors) % cofactors
+            # a stage prime p above deep = hi leaves v / p <= hi < p of a value
+            # v <= Phi_3(hi), so striking it keeps each value's primes in order
+            _strike(_roots(_dividing(gcd(r, cofactors), runs)), start, rest, found)
         for x, m, acc in zip(xs, rest, found):
             _factor_into(m, deep, acc)
             yield Factorization(x * x + x + 1, tuple(acc))

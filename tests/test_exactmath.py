@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import pairwise
 from math import gcd, isqrt, prod
 from pathlib import Path
 
@@ -235,8 +236,8 @@ _PRIMES_PAST_LIMIT = _reference_sieve(10_100)
 _TRIAL_PRIMES = _PRIMES_PAST_LIMIT[:1229]
 _BLOCKS = [_TRIAL_PRIMES[i:i + 32] for i in range(0, 1229, 32)]
 _ONE_MOD_THREE = [p for p in _TRIAL_PRIMES if p % 3 == 1]
-# the second sieve stage's depth: primes = 1 mod 3 in (10**4, 6 * 10**4]
-_DEEP = 60_000
+# the deep sieve stages' depth: primes = 1 mod 3 in (10**4, 2 * 10**5]
+_DEEP = 200_000
 _LARGE_PRIMES = (10**9 + 7, 2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
@@ -258,13 +259,23 @@ def test_root_table_holds_both_roots_of_each_prime_one_mod_three_below_the_trial
         assert (r * r + r + 1) % p == 0 and (s * s + s + 1) % p == 0, (p, r, s)
 
 
-def test_deep_blocks_are_runs_of_32_primes_one_mod_three_up_to_the_deep_limit():
-    deep = [p for p in _reference_sieve(_DEEP) if p > 10_000 and p % 3 == 1]
-    assert len(deep) == 2403 and deep[0] == 10_009 and deep[-1] == 59_971
-    assert [primes for _, primes in exactmath._DEEP_BLOCKS] == \
-        [deep[i:i + 32] for i in range(0, 2403, 32)]
-    for block, primes in exactmath._DEEP_BLOCKS:
-        assert block == prod(primes)
+def test_deep_stages_hold_the_primes_one_mod_three_of_each_stage_in_runs_and_groups():
+    # stage k sieves the primes = 1 mod 3 in (limits[k], limits[k + 1]], in
+    # runs of 128 and groups of 256 consecutive primes, each with its product
+    one_mod_three = [p for p in _reference_sieve(_DEEP) if p % 3 == 1]
+    limits = (10_000, 30_000, 100_000, _DEEP)
+    assert exactmath._STAGE_LIMITS == limits[1:]
+    assert len(exactmath._DEEP_STAGES) == 3
+    sizes = []
+    for (below, limit), (stage_below, groups, runs) in zip(pairwise(limits), exactmath._DEEP_STAGES):
+        primes = [p for p in one_mod_three if below < p <= limit]
+        sizes.append(len(primes))
+        assert stage_below == below
+        assert [ps for _, ps in runs] == [primes[i:i + 128] for i in range(0, len(primes), 128)]
+        for run, ps in runs:
+            assert run == prod(ps)
+        assert groups == tuple(prod(primes[i:i + 256]) for i in range(0, len(primes), 256))
+    assert sizes == [999, 3174, 4204]
 
 
 def _trial_edge_values():
@@ -400,8 +411,8 @@ def test_phi3_sieve_windows(lo, width):
 @pytest.mark.parametrize("lo", [10_000, 100_000, 949_999])
 def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
     # 101 values sieved to depth 10**4 with the import-time root table, then
-    # the cofactors at or above 10001**2 to 6 * 10**4: only a cofactor at or
-    # above 60001**2 goes to is_prime
+    # by the deep stages to 2 * 10**5: only a cofactor at or above 200001**2
+    # goes to is_prime
     sympy = pytest.importorskip("sympy")
     hi = lo + 100
     assert isqrt(_phi3(hi)) >= 10_000
@@ -427,16 +438,16 @@ def test_phi3_sieve_short_windows_at_full_trial_depth(monkeypatch, lo):
     assert all(n >= (_DEEP + 1)**2 for n in tested)
     assert [is_prime(n) for n in tested] == [sympy.isprime(n) for n in tested]
     if lo == 949_999:
-        # some of the 34 lie in Miller-Rabin's 4-base tier
-        assert len(tested) == 34 and max(tested) > 4_759_123_141
+        # some of the 23 lie in Miller-Rabin's 4-base tier
+        assert len(tested) == 23 and max(tested) > 4_759_123_141
 
 
 def _sieve_with_root_primes(lo, hi, limit=10_000):
     """(the sieve's (value, factors) for lo..hi, the sorted primes up to
     limit it finds roots for): the moduli up to limit of its pow calls.
     The first stage calls no pow, as its roots come from a table built at
-    import; the second stage's moduli lie in (10**4, 6 * 10**4] and
-    is_prime's above 60001**2."""
+    import; the deep stages' moduli lie in (10**4, 2 * 10**5] and
+    is_prime's above 200001**2."""
     moduli = set()
 
     def spy(*args):
@@ -461,8 +472,8 @@ def test_phi3_sieve_computes_no_root_modulo_a_prime_up_to_the_trial_limit(lo, hi
 
 # (first x, last x) of windows of n - 1, n and n + 1 values.  From 1000 and
 # 5000 the depth isqrt(Phi_3(hi)) is hi; from 10**4 the first stage's depth is
-# 10**4 and the second stage starts; from 500_000 and up to U_CAP both stages
-# sieve to their full depths.
+# 10**4 and the deep stages start; from 500_000 and up to U_CAP every stage
+# sieves to its full depth.
 _DEPTH_EDGE_WINDOWS = [
     *([(lo, lo + k - 1) for k in (n - 1, n, n + 1)]
       for lo, n in ((1000, 32), (5000, 161), (10_000, 312), (500_000, 312))),
@@ -510,7 +521,7 @@ def test_phi3_trial_division_oracle_matches_smaller_root_oracle():
 
 def test_phi3_sieve_near_the_cap_matches_trial_division_oracle():
     # every row of the 100-row window ending at U_CAP, where the sieve
-    # stops at depth 10**4 and finishes cofactors by is_prime and rho,
+    # stops at depth 2 * 10**5 and finishes cofactors by is_prime and rho,
     # against an oracle that divides by every prime up to isqrt(Phi_3(U_CAP))
     lo = U_CAP - 99
     assert [(f.value, f.factors) for f in phi3_factorizations(lo, U_CAP)] == \
@@ -519,7 +530,7 @@ def test_phi3_sieve_near_the_cap_matches_trial_division_oracle():
 
 def test_phi3_deep_stage_short_windows_at_the_cap_match_trial_division_oracle():
     # windows of 1 to 313 values ending at U_CAP: the first stage sieves to
-    # 10**4, and the second stage sieves each window's cofactors on to 6 * 10**4
+    # 10**4, and the deep stages sieve each window's cofactors on to 2 * 10**5
     lengths = (1, 2, 5, 100, 312, 313)
     oracle = phi3_trial_division_factorizations(U_CAP - max(lengths) + 1, U_CAP)
     for k in lengths:
@@ -527,15 +538,28 @@ def test_phi3_deep_stage_short_windows_at_the_cap_match_trial_division_oracle():
             oracle[-k:], k
 
 
-# windows whose hi crosses a depth switch: isqrt(Phi_3(hi)) passes 10**4 at
-# hi = 10001, where the second stage starts, and 6 * 10**4 at hi = 60000,
-# where its depth stops growing.  x = 11193 is the first value past 10**4
-# with two primes above 10**4 (10477 * 11959); x = 59931 has 15907 * 32257.
+# windows whose hi crosses a depth switch: isqrt(Phi_3(hi)) = hi passes
+# 10**4 at hi = 10001, where the deep stages start, 3 * 10**4 and 10**5,
+# where the next deep stage starts, and 2 * 10**5, where the depth stops
+# growing; 6 * 10**4 was the depth of an earlier single deep stage.  x = 11193
+# is the first value past 10**4 with two primes above 10**4 (10477 * 11959);
+# x = 59931 has 15907 * 32257, x = 29984 has 24763 * 36307, x = 99974 has
+# 36451 * 274201 and x = 199941 has 87121 * 458863.  The first values past
+# 3 * 10**4, 10**5 and 2 * 10**5 with two primes above it are at x = 32502
+# (32029 * 32983), x = 102674 (102121 * 103231) and x = 201242 (200467 *
+# 202021).  In a window ending at 32502 or 102674 the larger prime lies above
+# the depth hi; at 201242 both lie above the full depth, so rho splits them.
 _DEPTH_SWITCH_WINDOWS = {
     "1e4": [(9_990, 10_000), (9_990, 10_001), (10_000, 10_100), (11_150, 11_193),
             (9_990, 11_193)],
     "6e4": [(59_900, 59_999), (59_931, 60_000), (59_990, 60_001), (59_999, 60_300),
             (59_900, 60_300)],
+    "3e4": [(29_984, 30_000), (29_990, 30_001), (30_000, 30_100), (29_984, 30_100)],
+    "3e4-pq": [(32_480, 32_502), (32_502, 32_520)],
+    "1e5": [(99_974, 100_000), (99_990, 100_001), (100_000, 100_100), (99_974, 100_100)],
+    "1e5-pq": [(102_650, 102_674), (102_674, 102_700)],
+    "2e5": [(199_941, 200_000), (199_997, 200_001), (200_000, 200_100), (199_941, 200_100)],
+    "2e5-pq": [(201_220, 201_242), (201_242, 201_260)],
 }
 
 
@@ -550,21 +574,23 @@ def test_phi3_sieve_windows_across_the_depth_switches(switch):
 
 
 def test_phi3_deep_stage_across_blocks_matches_sympy():
-    # 2101 values above 6 * 10**4 span two sieve blocks of 2048, each with
-    # its own second stage: a depth carried from one block into the next
-    # shows on no single-block window
+    # windows of 2101 values above 2 * 10**5 span two sieve blocks of 2048,
+    # each with its own deep stages: a depth or cofactor product carried from
+    # one block into the next shows on no single-block window
     sympy = pytest.importorskip("sympy")
-    lo, hi = 500_000, 502_100
-    for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
-        assert f.factors == tuple(sorted(sympy.factorint(_phi3(x)).items())), x
+    for lo, hi in ((500_000, 502_100), (600_000, 602_100)):
+        for x, f in zip(range(lo, hi + 1), phi3_factorizations(lo, hi)):
+            assert f.factors == tuple(sorted(sympy.factorint(_phi3(x)).items())), x
 
 
 def test_phi3_deep_stage_leaves_is_prime_and_rho_only_cofactors_past_its_depth(monkeypatch):
-    # scan-high's window at seed 1.  The second stage finds roots only for
-    # the primes in (10**4, 6 * 10**4] that divide a cofactor at or above
-    # 10001**2.  is_prime then sees only the 33 cofactors at or above
-    # 60001**2, and rho splits 3 of them; a sieve stopping at 10**4 hands
-    # is_prime 61 cofactors and rho 16.
+    # scan-high's window at seed 1.  Each deep stage, (10**4, 3 * 10**4],
+    # (3 * 10**4, 10**5] and (10**5, 2 * 10**5], finds roots only for its
+    # primes that divide a cofactor still at or above its previous limit
+    # plus one, squared: 16 primes in all.  is_prime then sees only the 22
+    # cofactors at or above 200001**2, and rho splits 1 of them; one deep
+    # stage to 6 * 10**4 handed is_prime 33 cofactors and rho 3, and a
+    # sieve stopping at 10**4 hands is_prime 61 cofactors and rho 16.
     sympy = pytest.importorskip("sympy")
     lo, hi = 950_000, 950_100
     calls = {"is_prime": [], "_brent_rho": []}
@@ -576,12 +602,14 @@ def test_phi3_deep_stage_leaves_is_prime_and_rho_only_cofactors_past_its_depth(m
     factors = [tuple(sorted(sympy.factorint(_phi3(x)).items())) for x in range(lo, hi + 1)]
     assert [f for _, f in sieved] == factors
     dividing = set()
-    for fs in factors:
-        if prod(p**e for p, e in fs if p > 10_000) >= 10_001**2:
-            dividing.update(p for p, _ in fs if 10_000 < p <= _DEEP)
+    for below, limit in pairwise((10_000, 30_000, 100_000, _DEEP)):
+        for fs in factors:
+            if prod(p**e for p, e in fs if p > below) >= (below + 1)**2:
+                dividing.update(p for p, _ in fs if below < p <= limit)
     assert [p for p in primes if p > 10_000] == sorted(dividing)
+    assert len(dividing) == 16
     assert all(n >= (_DEEP + 1)**2 for n in calls["is_prime"])
-    assert (len(calls["is_prime"]), len(calls["_brent_rho"])) == (33, 3)
+    assert (len(calls["is_prime"]), len(calls["_brent_rho"])) == (22, 1)
 
 
 def test_phi3_sieve_rejects_bad_windows():
