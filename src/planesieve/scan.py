@@ -5,7 +5,10 @@ halves of u^4+u^2+1 are coprime, the value is admissible, u^2+u+1 is
 not a forbidden proper prime power, any repeated-prime part satisfies
 the cofactor inequality, and optionally each candidate group passes
 the involution counting gate.  Survival means "not yet eliminated",
-never that a plane or an action exists.
+never that a plane or an action exists.  A row with candidates makes
+one gate call for all of them, and a row whose u^2-u+1 does not divide
+L, the lcm of every candidate's class sizes, is rejected by one modulus
+without testing any candidate.
 
 The four filters before the candidate gate hold at every u >= 2, so
 only the candidate gate can eliminate a row; the rows still compute
@@ -44,14 +47,16 @@ from .plane import (U_CAP, LjunggrenClass, PlaneOrder, admissible_index,
 
 @dataclass(frozen=True)
 class GateVerdict:
-    """Outcome of the counting gate for one group, with the entry it
-    puts in a row's filter trace: the candidate's label and whether the
-    row passed (any outcome but "fail").  prepare_candidate builds each
-    outcome once per scan, and the gate hands the same object to every
-    row that gets it."""
+    """The counting gate's answer for one row: the entry each candidate
+    puts in the row's filter trace, (label, passed), in candidate order,
+    and "fail" when some entry is False, else "pass"."""
 
-    entry: tuple[str, bool]
-    outcome: str  # "pass" | "fail" | "uncovered"
+    entries: tuple[tuple[str, bool], ...]
+    outcome: str  # "pass" | "fail"
+
+
+def _verdict(entries: tuple[tuple[str, bool], ...]) -> GateVerdict:
+    return GateVerdict(entries, "pass" if all(map(itemgetter(1), entries)) else "fail")
 
 
 @dataclass(frozen=True)
@@ -69,44 +74,66 @@ class Candidate:
     which depends on the plane order: the size of each catalog
     involution class and their lcm, the index floor (None when no floor
     is wired for the family or no catalog class covers the group), and
-    the gate's two verdicts, indexed by whether the row passed.  An
-    uncovered group has no sizes, so its lcm is 1, and both of its
-    verdicts are "uncovered"."""
+    the two entries it can put in a row's filter trace, indexed by
+    whether the row passed.  An uncovered group has no sizes, so its
+    lcm is 1, and both of its entries are (label, True)."""
 
     sizes: tuple[int, ...]
     lcm: int
     floor: int | None
-    verdicts: tuple[GateVerdict, GateVerdict]
+    entries: tuple[tuple[str, bool], tuple[str, bool]]
 
 
-def prepare_candidate(spec: GroupSpec) -> Candidate:
-    """Evaluate spec's class sizes, their lcm, its index floor and its
-    verdicts, once per scan."""
+@dataclass(frozen=True)
+class Candidates:
+    """A scan's prepared candidates, in order, with L, the lcm of their
+    lcms, and the verdict shared by every row whose u^2-u+1 does not
+    divide L: no candidate passes there, so each takes its entry for a
+    failed row, which is (label, True) for an uncovered one."""
+
+    each: tuple[Candidate, ...]
+    lcm: int
+    miss: GateVerdict
+
+
+def _prepare(spec: GroupSpec) -> Candidate:
     label = f"candidate-{spec}"
     sizes = tuple(involution_class_size(t, spec) for t in classes_for(spec))
     if sizes:
-        floor = min_proper_index(spec)
-        verdicts = (GateVerdict(entry=(label, False), outcome="fail"),
-                    GateVerdict(entry=(label, True), outcome="pass"))
+        floor, entries = min_proper_index(spec), ((label, False), (label, True))
     else:
-        floor, verdicts = None, (GateVerdict(entry=(label, True), outcome="uncovered"),) * 2
-    return Candidate(sizes=sizes, lcm=lcm(*sizes), floor=floor, verdicts=verdicts)
+        floor, entries = None, ((label, True),) * 2
+    return Candidate(sizes=sizes, lcm=lcm(*sizes), floor=floor, entries=entries)
 
 
-def candidate_gate(plane: PlaneOrder, cand: Candidate) -> GateVerdict:
-    """Test whether any catalog involution class of the candidate admits
-    the counting identity v = (n_g/r_g)(u^2+u+1) at this plane order:
-    some class size n_g must be a multiple of u^2-u+1, and v must exceed
-    the index floor.  The candidate's data and verdicts are prepared
-    once per scan, so a row costs one modulus by the lcm of the sizes,
-    which u^2-u+1 divides whenever it divides some n_g; only rows that
-    pass it test each size and the floor.  An uncovered candidate fails
-    the lcm test (u^2-u+1 >= 3) and gets its "uncovered" verdict."""
+def prepare_candidates(specs: list[GroupSpec]) -> Candidates:
+    """Evaluate each group's class sizes, their lcm, its index floor and
+    its entries, then L and the shared verdict, once per scan."""
+    each = tuple(map(_prepare, specs))
+    return Candidates(each=each, lcm=lcm(*(cand.lcm for cand in each)),
+                      miss=_verdict(tuple(cand.entries[False] for cand in each)))
+
+
+def candidate_gate(plane: PlaneOrder, cands: Candidates) -> GateVerdict:
+    """Test, for each candidate, whether some catalog involution class
+    admits the counting identity v = (n_g/r_g)(u^2+u+1) at this plane
+    order: some class size n_g must be a multiple of u^2-u+1, and v must
+    exceed the index floor.  A sieve row makes this one call for all of
+    its candidates.  u^2-u+1 divides a candidate's lcm whenever it
+    divides one of its sizes, and then it divides L too, so a row whose
+    u^2-u+1 does not divide L costs one modulus and gets the shared
+    verdict.  Only the other rows test each candidate: its lcm, then its
+    sizes, then its floor.  An uncovered candidate fails the lcm test
+    (u^2-u+1 >= 3) and keeps its (label, True) entry."""
     ratio = plane.minus_factors.value
-    passed = (cand.lcm % ratio == 0
-              and any(n_g % ratio == 0 for n_g in cand.sizes)
-              and (cand.floor is None or plane.v > cand.floor))
-    return cand.verdicts[passed]
+    if cands.lcm % ratio:
+        return cands.miss
+    v = plane.v
+    return _verdict(tuple(
+        cand.entries[cand.lcm % ratio == 0
+                     and any(n_g % ratio == 0 for n_g in cand.sizes)
+                     and (cand.floor is None or v > cand.floor)]
+        for cand in cands.each))
 
 
 # The entries the four filters before the gate can put in a trace, by outcome.
@@ -117,7 +144,7 @@ _LJUNGGREN = {cls: (f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PR
 _KANTOR = {None: ("kantor-not-applicable", True), False: ("kantor", False), True: ("kantor", True)}
 
 
-def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
+def _row(plane: PlaneOrder, candidates: Candidates | None) -> SieveRow:
     factors = plane.v_factors
     repeated = [p**e for p, e in factors.factors if e >= 2]
     kantor = (all(kantor_cofactor_holds(pe, plane.v // pe, plane.u) for pe in repeated)
@@ -125,8 +152,9 @@ def _row(plane: PlaneOrder, candidates: tuple[Candidate, ...]) -> SieveRow:
     trace = (_COPRIME[gcd(plane.plus_factors.value, plane.minus_factors.value) == 1],
              _ADMISSIBLE[admissible_index(factors)],
              _LJUNGGREN[ljunggren_classify(plane.plus_factors)],
-             _KANTOR[kantor],
-             *[candidate_gate(plane, cand).entry for cand in candidates])
+             _KANTOR[kantor])
+    if candidates is not None:
+        trace += candidate_gate(plane, candidates).entries
     return SieveRow(plane.u, plane.v, factors, trace, all(map(itemgetter(1), trace)))
 
 
@@ -144,7 +172,7 @@ def sieve_orders(u_min: int, u_max: int,
         raise ValueError(f"inverted range [{u_min}, {u_max}]")
     if u_max > U_CAP:
         raise ValueError(f"u_max {u_max} exceeds the cap {U_CAP}")
-    candidates = tuple(prepare_candidate(spec) for spec in group_candidates or ())
+    candidates = prepare_candidates(group_candidates) if group_candidates else None
     rows = []
     for plane in plane_orders(u_min, u_max):
         row = _row(plane, candidates)

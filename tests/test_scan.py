@@ -13,8 +13,8 @@ import planesieve.scan
 from planesieve.catalog import classes_for, involution_class_size
 from planesieve.exactmath import is_prime, nth_root
 from planesieve.groups import GroupSpec, group_spec, min_proper_index, parse_group
-from planesieve.plane import PlaneOrder, admissible_index, plane_order, plane_orders
-from planesieve.scan import U_CAP, candidate_gate, prepare_candidate, sieve_orders
+from planesieve.plane import admissible_index, plane_order, plane_orders
+from planesieve.scan import U_CAP, candidate_gate, prepare_candidates, sieve_orders
 
 from test_cli import WHOLE_CATALOG
 
@@ -40,61 +40,85 @@ def test_row_u18_seven_cubed_annotation():
     assert row.survived
 
 
-def _gate(plane: PlaneOrder, spec: GroupSpec):
-    return candidate_gate(plane, prepare_candidate(spec))
+def _entry(spec: GroupSpec, u: int) -> tuple[str, bool]:
+    """The candidate's entry in the row at u of a scan with it alone."""
+    row = sieve_orders(u, u, [spec])[0]
+    assert len(row.filter_trace) == 5
+    return row.filter_trace[4]
 
 
 def test_candidate_gate_pass_at_u4():
-    plane, cand = plane_order(4), prepare_candidate(group_spec("PSL", n=2, q=13))
-    assert candidate_gate(plane, cand).outcome == "pass"
+    spec = group_spec("PSL", n=2, q=13)
+    plane, cand = plane_order(4), prepare_candidates([spec]).each[0]
+    assert _entry(spec, 4) == ("candidate-PSL(2,13)", True)
     # r = 91/13 = 7 involutions through a point, and v = 273 clears the floor
     assert cand.sizes == (91,) and plane.minus_factors.value == 13
     assert cand.floor == 14
 
 
 def test_candidate_gate_non_divisor_at_u2():
-    verdict = _gate(plane_order(2), group_spec("PSL", n=2, q=13))
-    assert verdict.outcome == "fail"
+    assert _entry(group_spec("PSL", n=2, q=13), 2) == ("candidate-PSL(2,13)", False)
 
 
 def test_candidate_gate_floor_kills_g2_at_u3():
-    plane, cand = plane_order(3), prepare_candidate(group_spec("G2", q=7))
-    assert candidate_gate(plane, cand).outcome == "fail"
+    spec = group_spec("G2", q=7)
+    plane, cand = plane_order(3), prepare_candidates([spec]).each[0]
+    assert _entry(spec, 3) == ("candidate-G2(7)", False)
     # a class divides through, so only the index floor fails
     assert any(n_g % plane.minus_factors.value == 0 for n_g in cand.sizes)
     assert plane.v <= cand.floor == 19608
 
 
 def test_candidate_gate_uncovered_family():
-    verdict = _gate(plane_order(3), group_spec("A", n=7))
-    assert verdict.outcome == "uncovered"
+    # A7's entry is True on every row, beside a covered candidate too, and
+    # it never eliminates a row the covered candidate alone lets through
+    a7, psl = group_spec("A", n=7), group_spec("PSL", n=2, q=13)
+    assert _entry(a7, 3) == ("candidate-A7", True)
+    rows = sieve_orders(2, 300, [a7, psl])
+    assert all(row.filter_trace[4] == ("candidate-A7", True) for row in rows)
+    alone = sieve_orders(2, 300, [psl])
+    assert [row.survived for row in rows] == [row.survived for row in alone]
+    assert sum(row.survived for row in rows) == 3
 
 
-# The whole-catalog candidates plus the three of the stream digest.  Over
-# u <= 6000 they reach every combination of the gate's tests; at u = 5330,
-# u^2-u+1 divides the lcm of the two class sizes of POmega(7,73) but
-# neither size, and v clears the floor, so the size test alone decides.
+# The whole-catalog candidates plus the three of the stream digest and the
+# uncovered A7.  Over u <= 6000 they reach every combination of the gate's
+# tests; at u = 5330, u^2-u+1 divides the lcm of the two class sizes of
+# POmega(7,73) but neither size, and v clears the floor, so the size test
+# alone decides.
 _GATE_SPECS = tuple(parse_group(text.split()) for text in
-                    WHOLE_CATALOG.split(",") + ["PSL 2 13", "G2 7", "PSU 5 7"])
-_GATE_DATA = tuple((spec, [involution_class_size(t, spec) for t in classes_for(spec)],
+                    WHOLE_CATALOG.split(",") + ["PSL 2 13", "G2 7", "PSU 5 7", "A 7"])
+_GATE_DATA = tuple((f"candidate-{spec}",
+                    [involution_class_size(t, spec) for t in classes_for(spec)],
                     min_proper_index(spec)) for spec in _GATE_SPECS)
+_A7, _PSL2_13, _G2_7 = map(_GATE_SPECS.index, (group_spec("A", n=7), group_spec("PSL", n=2, q=13),
+                                                group_spec("G2", q=7)))
+
+
+def _definition(picks, u):
+    """Each picked candidate's entry at u, read from the catalog and groups
+    directly rather than from the prepared candidates: an uncovered group
+    passes, a covered one passes when some size is a multiple of u^2-u+1
+    and v exceeds the floor."""
+    b, v = u * u - u + 1, u**4 + u * u + 1
+    return tuple((label, not sizes or (any(n % b == 0 for n in sizes)
+                                       and (floor is None or v > floor)))
+                 for label, sizes, floor in map(_GATE_DATA.__getitem__, picks))
 
 
 def _gate_matches_definition(u_min, u_max):
-    """Check the gate against its definition, read from the catalog and
-    groups directly rather than from the prepared Candidate; return the
-    (some size divides, the lcm divides, v clears the floor) triples seen."""
-    cands = [prepare_candidate(spec) for spec in _GATE_SPECS]
+    """Check each row's candidate entries against the definition; return
+    the (some size divides, the lcm divides, v clears the floor) triples
+    seen."""
+    picks = range(len(_GATE_SPECS))
     seen = set()
-    for plane in plane_orders(u_min, u_max):
-        u = plane.u
+    for row in sieve_orders(u_min, u_max, list(_GATE_SPECS)):
+        u = row.u
+        assert row.filter_trace[4:] == _definition(picks, u), u
         b, v = u * u - u + 1, u**4 + u * u + 1
-        for cand, (spec, sizes, floor) in zip(cands, _GATE_DATA):
-            divides = any(n % b == 0 for n in sizes)
-            clears = floor is None or v > floor
-            outcome = "pass" if divides and clears else "fail"
-            assert candidate_gate(plane, cand).outcome == outcome, (u, spec)
-            seen.add((divides, lcm(*sizes) % b == 0, clears))
+        for _, sizes, floor in _GATE_DATA:
+            seen.add((any(n % b == 0 for n in sizes), lcm(*sizes) % b == 0,
+                      floor is None or v > floor))
     return seen
 
 
@@ -112,28 +136,79 @@ def test_candidate_gate_is_its_definition_in_windows(u_min, width):
     _gate_matches_definition(u_min, min(u_min + width, U_CAP))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, len(_GATE_SPECS) - 1), max_size=6),
+       st.one_of(st.integers(2, 6000), st.integers(2, U_CAP)), st.integers(0, 200))
+@example([_A7, _PSL2_13], 2, 20)
+@example([_A7, _A7], 2, 20)
+@example([_PSL2_13, _G2_7, _G2_7], 2, 20)
+def test_per_row_gate_is_its_definition_on_sub_lists(picks, u_min, width):
+    # any candidate list, duplicates and uncovered-only lists included:
+    # every row's entries, its survival and the gate's outcome follow the
+    # definition, on the rows L rejects and on the rows it lets through
+    u_max = min(u_min + width, U_CAP)
+    specs = [_GATE_SPECS[i] for i in picks]
+    rows = sieve_orders(u_min, u_max, specs)
+    cands = prepare_candidates(specs)
+    for row, plane in zip(rows, plane_orders(u_min, u_max), strict=True):
+        expected = _definition(picks, row.u)
+        assert row.filter_trace[4:] == expected, row.u
+        assert row.survived == all(ok for _, ok in expected), row.u
+        if specs:
+            verdict = candidate_gate(plane, cands)
+            assert verdict.entries == expected, row.u
+            assert verdict.outcome == ("pass" if row.survived else "fail"), row.u
+
+
+def test_rows_outside_l_share_one_verdict(monkeypatch):
+    real = planesieve.scan.candidate_gate
+    calls = []
+
+    def spy(plane, cands):
+        verdict = real(plane, cands)
+        calls.append((plane.minus_factors.value, cands, verdict))
+        return verdict
+
+    monkeypatch.setattr(planesieve.scan, "candidate_gate", spy)
+    rows = sieve_orders(2, 3000, list(_GATE_SPECS))
+    assert len(calls) == len(rows) == 2999
+    (cands,) = {id(c): c for _, c, _ in calls}.values()
+    # L is the lcm of every size of every candidate
+    assert cands.lcm == lcm(*(n for _, sizes, _ in _GATE_DATA for n in sizes))
+    missed = [verdict for b, _, verdict in calls if cands.lcm % b]
+    tested = [verdict for b, _, verdict in calls if cands.lcm % b == 0]
+    assert missed and tested
+    assert all(verdict is cands.miss for verdict in missed)
+    assert not any(verdict is cands.miss for verdict in tested)
+
+
 def test_verdicts_built_per_candidate_not_per_row(monkeypatch):
+    # one verdict per scan, shared by the rows whose u^2-u+1 does not
+    # divide L, plus one for each row where it does
     real = planesieve.scan.GateVerdict
     built = []
 
-    def spy(**fields):
+    def spy(*fields):
         built.append(fields)
-        return real(**fields)
+        return real(*fields)
 
     monkeypatch.setattr(planesieve.scan, "GateVerdict", spy)
     specs = [group_spec("PSL", n=2, q=13), group_spec("G2", q=7), group_spec("PSU", n=5, q=7)]
     rows = sieve_orders(2, 500, specs)
-    assert len(rows) == 499 and 0 < len(built) <= 3 * len(specs)
+    big_l = lcm(*(involution_class_size(t, spec) for spec in specs for t in classes_for(spec)))
+    hits = sum(big_l % (u * u - u + 1) == 0 for u in range(2, 501))
+    assert len(rows) == 499 and 0 < hits < 50 and len(built) == 1 + hits
 
 
-def test_gate_called_once_per_row_per_candidate(monkeypatch):
+def test_gate_called_once_per_row_with_candidates(monkeypatch):
     # bench/tracer.py counts gate calls and passes by wrapping this module
-    # binding, so every (row, candidate) pair must go through it
+    # binding and reading each verdict's outcome, so every row with
+    # candidates makes one call, and a pass is a row the gate lets through
     real = planesieve.scan.candidate_gate
     outcomes = []
 
-    def spy(plane, cand):
-        verdict = real(plane, cand)
+    def spy(plane, cands):
+        verdict = real(plane, cands)
         outcomes.append(verdict.outcome)
         return verdict
 
@@ -141,6 +216,15 @@ def test_gate_called_once_per_row_per_candidate(monkeypatch):
     rows = sieve_orders(2, 40, [group_spec("PSL", n=2, q=13)])
     assert len(rows) == len(outcomes) == 39
     assert outcomes.count("pass") == sum(row.survived for row in rows) == 3
+    outcomes.clear()
+    # at u = 3 PSL(2,13) passes and G2(7) fails on its floor: the row fails
+    rows = sieve_orders(2, 500, [_GATE_SPECS[i] for i in (_PSL2_13, _G2_7, _A7)])
+    assert len(rows) == len(outcomes) == 499 and set(outcomes) == {"fail"}
+    assert ("candidate-PSL(2,13)", True) in rows[1].filter_trace
+    assert not any(row.survived for row in rows)
+    outcomes.clear()
+    assert len(sieve_orders(2, 40)) == 39 and len(sieve_orders(2, 40, [])) == 39
+    assert outcomes == []
 
 
 def test_candidate_survivors_frozen():
