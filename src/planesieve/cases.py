@@ -24,12 +24,12 @@ from typing import Callable
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import (cyclotomic_pieces, cyclotomic_ratio, factorize, gaussian_binomial,
-                        geom_sum, is_prime_power, nth_root, phi3_factorizations, small_primes,
-                        trial_divide)
+                        geom_sum, is_prime_power, nth_root, small_primes, trial_divide)
 from .groups import SPORADIC_ODD_INDEX, SPORADIC_ORDERS, group_spec, order, parabolic_index
 from .ledger import CaseCheck, CheckFn, Record
 from .plane import (U_CAP, LjunggrenClass, admissible_index, fixed_count_bound,
                     involution_counts, ljunggren_classify, quadratic_ratio_root)
+from .sieve import phi3_factorizations
 
 _FACTOR_CAP = 10**18
 

@@ -1,8 +1,8 @@
-"""Exact integer arithmetic: factorization, a root-class sieve factoring
-x**2 + x + 1 over a range of x, prime powers, the cyclotomic pieces Phi_d(x)
-of x**k - 1 and x**k + 1, and ratios prod(x**d - e) / prod(x**d - e) with
-e = +-1: cyclotomic_ratio evaluates them (geometric sums and Gaussian
-binomials included) and factor_cyclotomic_ratio factors them.
+"""Exact integer arithmetic: factorization, primality, prime powers, exact
+roots, the cyclotomic pieces Phi_d(x) of x**k - 1 and x**k + 1, and ratios
+prod(x**d - e) / prod(x**d - e) with e = +-1: cyclotomic_ratio evaluates
+them (geometric sums and Gaussian binomials included) and
+factor_cyclotomic_ratio factors them.
 
 Everything here is deterministic and exact, with no floats: the package's
 comparisons rely on these primitives never rounding.  Factorization is
@@ -10,13 +10,6 @@ trial division by one gcd per block of 32 primes up to 10**4 (trial_divide,
 which the ledger's 1-mod-3 screen shares), then Brent's cycle-finding
 variant of Pollard rho with a fixed parameter schedule and one gcd per
 32 steps; primality is Miller-Rabin with a base set proven for n's size.
-The sieve of x**2 + x + 1 sieves the primes up to 10**4, then the primes
-= 1 mod 3 up to 2 * 10**5 in three deep stages, each over the cofactors
-still at or above its previous limit plus one, squared.  A stage picks
-the primes that divide a block by one remainder of its prime product
-modulo the block's product of cofactors (Bernstein, "How to find smooth
-parts of integers", 2004), so only cofactors at or above 200001**2 reach
-Miller-Rabin and rho.
 Jaeschke's (1993) sets come first: the bases 2, 7, 61 decide every n
 below 4759123141 and 2, 13, 23, 1662803 every n below 1122004669633.
 Above those, the first k primes as bases decide every n below psi_k, the
@@ -33,16 +26,12 @@ strong pseudoprime to every prime base below 307.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import compress
 from math import gcd, isqrt, prod
 
 _TRIAL_LIMIT = 10_000
-# the deep stages sieve the primes = 1 mod 3 in (10**4, 3 * 10**4],
-# (3 * 10**4, 10**5] and (10**5, 2 * 10**5]
-_STAGE_LIMITS = (30_000, 100_000, 200_000)
-_SIEVE_BLOCK = 2048
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -65,51 +54,9 @@ def _runs(primes: list[int], n: int) -> tuple[tuple[int, list[int]], ...]:
     return tuple((prod(ps), ps) for ps in (primes[i : i + n] for i in range(0, len(primes), n)))
 
 
-def _roots(primes: list[int]) -> list[tuple[int, int]]:
-    """(p, w) and (p, p - 1 - w) for each p = 1 mod 3, w = g**((p-1)/3) != 1:
-    the two roots of x**2 + x + 1 mod p."""
-    roots = []
-    for p in primes:
-        g = 2
-        while (w := pow(g, (p - 1) // 3, p)) == 1:
-            g += 1
-        roots += (p, w), (p, p - 1 - w)
-    return roots
-
-
-def _one_mod_six_primes(below: int, limit: int) -> list[int]:
-    """The primes = 1 mod 6 in (below, limit], limit < 10**8, sieved on that
-    progression alone: flags[i] stands for 7 + 6i, and the multiples there of
-    a prime p >= 5 are p**2 = 1 mod 6 and every p-th entry after it."""
-    flags = bytearray([1]) * len(range(7, limit + 1, 6))
-    for p in _SMALL_PRIMES[2 : bisect.bisect(_SMALL_PRIMES, isqrt(limit))]:
-        i = (p * p - 7) // 6
-        flags[i::p] = bytes(len(range(i, len(flags), p)))
-    first = (below - 1) // 6
-    return list(compress(range(7 + 6 * first, limit + 1, 6), flags[first:]))
-
-
-def _deep_stages() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, list[int]], ...]], ...]:
-    """(previous limit, group products, runs) for each deep stage: runs
-    holds (product, primes) for each run of 128 of the stage's primes = 1
-    mod 3, and each group product is that of two consecutive runs."""
-    primes = _one_mod_six_primes(_TRIAL_LIMIT, _STAGE_LIMITS[-1])
-    stages = []
-    for below, limit in pairwise((_TRIAL_LIMIT, *_STAGE_LIMITS)):
-        runs = _runs(primes[bisect.bisect(primes, below) : bisect.bisect(primes, limit)], 128)
-        groups = tuple(prod(r for r, _ in runs[i : i + 2]) for i in range(0, len(runs), 2))
-        stages.append((below, groups, runs))
-    return tuple(stages)
-
-
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-_ONE_MOD_THREE = [p for p in _SMALL_PRIMES if p % 3 == 1]
 # (first prime squared, product, primes) for each run of 32 consecutive small primes
 _TRIAL_BLOCKS = tuple((ps[0] ** 2, block, ps) for block, ps in _runs(_SMALL_PRIMES, 32))
-# the two roots (p, w), (p, p - 1 - w) of each prime p = 1 mod 3 up to 10**4, in increasing p
-_ONE_MOD_THREE_ROOTS = _roots(_ONE_MOD_THREE)
-# the primes = 1 mod 3 in (10**4, 2 * 10**5], stage by stage
-_DEEP_STAGES = _deep_stages()
 
 # (bound, bases): those bases decide every n < bound exactly.  The first
 # two rows are Jaeschke's sets, the rest are (psi_k, the first k primes).
@@ -272,91 +219,6 @@ def factorize(n: int) -> Factorization:
     acc = list(small.items())
     _factor_into(m, _TRIAL_LIMIT, acc)
     return Factorization(n, tuple(acc))
-
-
-def _dividing(g: int, runs: tuple[tuple[int, list[int]], ...]) -> list[int]:
-    """The primes of runs that divide g, a product of distinct primes of
-    runs: one gcd per run, in increasing order, until g is spent.  A run's
-    gcd h is one prime unless h exceeds the run's largest prime."""
-    dividing: list[int] = []
-    for run, primes in runs:
-        if g == 1:
-            break
-        if (h := gcd(run, g)) > 1:
-            g //= h
-            dividing += [h] if h <= primes[-1] else [p for p in primes if h % p == 0]
-    return dividing
-
-
-def _strike(roots: list[tuple[int, int]], start: int, rest: list[int],
-            found: list[list[tuple[int, int]]]) -> None:
-    """Divide every power of p out of rest[i], the value at x = start + i,
-    for each root (p, r), and append (p, e) to found[i]."""
-    n = len(rest)
-    # a block of 2048 misses many roots of the primes above 2048: a miss
-    # costs one comparison here, where a range per root would be built for nothing
-    for p, r in roots:
-        i = (r - start) % p
-        while i < n:
-            m, e = rest[i] // p, 1
-            while m % p == 0:
-                m, e = m // p, e + 1
-            rest[i] = m
-            found[i].append((p, e))
-            i += p
-
-
-def phi3_factorizations(lo: int, hi: int) -> Iterator[Factorization]:
-    """Factorizations of Phi_3(x) = x**2 + x + 1 for x = lo, ..., hi, in order.
-
-    A root-class sieve (the sieving step of the quadratic sieve): only 3,
-    at x = 1 mod 3, and primes p = 1 mod 3, at the roots w = g**((p-1)/3)
-    != 1 and p - 1 - w of x**2 + x + 1 mod p, divide these values.  They
-    are sieved block by block, in increasing p, so each value's primes are
-    collected in order and need no sorting.  The depth comes in stages:
-    - the first sieves the primes up to depth = min(10**4, isqrt(Phi_3(hi)));
-    - three deep stages follow, each while isqrt(Phi_3(hi)) exceeds its
-      previous limit: block by block, they sieve the primes in (10**4,
-      3 * 10**4], (3 * 10**4, 10**5] and (10**5, 2 * 10**5] out of the
-      cofactors still at or above 10001**2, 30001**2 and 100001**2.
-    Each cofactor, whose primes all lie above the sieved ones, is then
-    finished by the rule factorize uses at depth min(2 * 10**5,
-    isqrt(Phi_3(hi))): it is 1 or prime with no test below that depth plus
-    one, squared, so only a cofactor at or above 200001**2 reaches
-    is_prime and rho.
-
-    The first stage takes the roots of the primes = 1 mod 3 up to depth
-    from a table of all 611 below 10**4, built at import.  A deep stage
-    finds roots only for its primes that divide the block's product C of
-    those cofactors (16 of 8377 over 950000..950100): one remainder r of
-    the stage's prime product, r = prod(G mod C) mod C over its group
-    products G of 256 primes, gives their product gcd(r, C) (Bernstein
-    2004), and one gcd per run of 128 primes splits it.
-    """
-    if not 0 <= lo <= hi:
-        raise ValueError(f"phi3_factorizations expects 0 <= lo <= hi, got [{lo}, {hi}]")
-    top = isqrt(hi * hi + hi + 1)
-    depth = min(_TRIAL_LIMIT, top)
-    roots = [(3, 1), *_ONE_MOD_THREE_ROOTS[: 2 * bisect.bisect_right(_ONE_MOD_THREE, depth)]]
-    deep = min(_STAGE_LIMITS[-1], top)
-    for start in range(lo, hi + 1, _SIEVE_BLOCK):
-        xs = range(start, min(start + _SIEVE_BLOCK, hi + 1))
-        rest = [x * x + x + 1 for x in xs]
-        found: list[list[tuple[int, int]]] = [[] for _ in xs]
-        _strike(roots, start, rest, found)
-        for below, groups, runs in _DEEP_STAGES:
-            if below >= deep:
-                break
-            cofactors = prod(m for m in rest if m >= (below + 1) ** 2)
-            r = 1
-            for group in groups:
-                r = r * (group % cofactors) % cofactors
-            # a stage prime p above deep = hi leaves v / p <= hi < p of a value
-            # v <= Phi_3(hi), so striking it keeps each value's primes in order
-            _strike(_roots(_dividing(gcd(r, cofactors), runs)), start, rest, found)
-        for x, m, acc in zip(xs, rest, found):
-            _factor_into(m, deep, acc)
-            yield Factorization(x * x + x + 1, tuple(acc))
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:

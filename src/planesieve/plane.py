@@ -16,7 +16,8 @@ from enum import Enum
 from itertools import pairwise
 from math import gcd, isqrt
 
-from .exactmath import Factorization, factorize, phi3_factorizations
+from .exactmath import Factorization, factorize
+from .sieve import phi3_factorizations
 
 # The largest u the sieve accepts, and the largest --u-max of verify-all.
 U_CAP = 10**6

@@ -675,8 +675,8 @@ def test_importing_the_cli_builds_no_parser():
 
 # The planesieve modules each subcommand loads, besides cli itself.
 _GROUP_LAYERS = ("exactmath", "groups")
-_SCAN_LAYERS = ("catalog", "exactmath", "groups", "plane", "scan")
-_LEDGER_LAYERS = ("cases", "catalog", "exactmath", "groups", "ledger", "plane")
+_SCAN_LAYERS = ("catalog", "exactmath", "groups", "plane", "scan", "sieve")
+_LEDGER_LAYERS = ("cases", "catalog", "exactmath", "groups", "ledger", "plane", "sieve")
 
 
 @pytest.mark.parametrize("argv, code, layers", [
@@ -691,7 +691,7 @@ _LEDGER_LAYERS = ("cases", "catalog", "exactmath", "groups", "ledger", "plane")
     # only more than one worker loads the thread pool
     (["verify-all", "--jobs", "2", "--u-max", "10"], 1, _LEDGER_LAYERS),
     # a refused worker count fails before the case registry is imported
-    (["verify-all", "--jobs", "0"], 2, ("exactmath", "ledger", "plane")),
+    (["verify-all", "--jobs", "0"], 2, ("exactmath", "ledger", "plane", "sieve")),
 ], ids=["version", "factor", "order", "index", "catalog", "scan", "verify", "verify-all",
         "verify-all-jobs-2", "verify-all-jobs-0"])
 def test_each_subcommand_imports_only_its_layers(argv, code, layers):
@@ -712,6 +712,29 @@ def test_each_subcommand_imports_only_its_layers(argv, code, layers):
     assert status == f"{code} {pool}"
     assert loaded.split() == sorted(f"planesieve.{m}" for m in ("cli", *layers))
     assert proc.stderr == ("error: jobs must be >= 1, got 0\n" if code == 2 else "")
+
+
+def test_deep_stage_tables_are_built_once_and_only_past_ten_thousand():
+    # in one fresh process: exactmath alone loads no sieve; verify-all, whose
+    # LJUNGGREN-SCAN sieves to x = 2000 at most, builds no deep-stage table;
+    # two scan windows near 950000 build them once and share them
+    child = ("import contextlib, io, sys\n"
+             "import planesieve.exactmath\n"
+             "print('planesieve.sieve' in sys.modules)\n"
+             "from planesieve import sieve\n"
+             "from planesieve.cli import main\n"
+             "built = []\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    for argv in (['--u-max', '10'], []):\n"
+             "        main(['verify-all', *argv])\n"
+             "        built.append(sieve._deep_stages.cache_info().currsize)\n"
+             "    for lo in (950_000, 950_200):\n"
+             "        main(['scan', '--u-min', str(lo), '--u-max', str(lo + 100)])\n"
+             "info = sieve._deep_stages.cache_info()\n"
+             "print(*built, info.misses, info.hits, info.currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=_src_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n0 0 1 1 1\n", "")
 
 
 def test_shared_parser_carries_no_state_between_calls(capsys):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from planesieve import exactmath
+from planesieve import exactmath, sieve
 from planesieve.exactmath import (Factorization, cyclotomic_pieces, cyclotomic_ratio,
                                   factor_cyclotomic_ratio, factorize, gaussian_binomial, geom_sum,
-                                  is_prime, is_prime_power, nth_root, phi3_factorizations,
-                                  small_primes, trial_divide)
+                                  is_prime, is_prime_power, nth_root, small_primes, trial_divide)
 from planesieve.plane import U_CAP
+from planesieve.sieve import phi3_factorizations
 
 from _oracles import (brute_subspace_count, cyclotomic_value, phi3_smaller_root_factorizations,
                       phi3_trial_division_factorizations)
@@ -251,7 +251,7 @@ def test_trial_blocks_are_runs_of_32_small_primes():
 def test_root_table_holds_both_roots_of_each_prime_one_mod_three_below_the_trial_limit():
     # (p, r), (p, r') for each of the 611 primes p = 1 mod 3 below 10**4, in
     # increasing p: two distinct roots of x**2 + x + 1 mod p, with r + r' = p - 1
-    table = exactmath._ONE_MOD_THREE_ROOTS
+    table = sieve._ONE_MOD_THREE_ROOTS
     assert len(_ONE_MOD_THREE) == 611
     assert [p for p, _ in table[::2]] == [p for p, _ in table[1::2]] == _ONE_MOD_THREE
     for (p, r), (_, s) in zip(table[::2], table[1::2]):
@@ -264,10 +264,10 @@ def test_deep_stages_hold_the_primes_one_mod_three_of_each_stage_in_runs_and_gro
     # runs of 128 and groups of 256 consecutive primes, each with its product
     one_mod_three = [p for p in _reference_sieve(_DEEP) if p % 3 == 1]
     limits = (10_000, 30_000, 100_000, _DEEP)
-    assert exactmath._STAGE_LIMITS == limits[1:]
-    assert len(exactmath._DEEP_STAGES) == 3
+    assert sieve._STAGE_LIMITS == limits[1:]
+    assert len(sieve._deep_stages()) == 3
     sizes = []
-    for (below, limit), (stage_below, groups, runs) in zip(pairwise(limits), exactmath._DEEP_STAGES):
+    for (below, limit), (stage_below, groups, runs) in zip(pairwise(limits), sieve._deep_stages()):
         primes = [p for p in one_mod_three if below < p <= limit]
         sizes.append(len(primes))
         assert stage_below == below
@@ -446,8 +446,9 @@ def _sieve_with_root_primes(lo, hi, limit=10_000):
     """(the sieve's (value, factors) for lo..hi, the sorted primes up to
     limit it finds roots for): the moduli up to limit of its pow calls.
     The first stage calls no pow, as its roots come from a table built at
-    import; the deep stages' moduli lie in (10**4, 2 * 10**5] and
-    is_prime's above 200001**2."""
+    the sieve module's import; the deep stages' moduli lie in (10**4,
+    2 * 10**5].  is_prime's pow calls are exactmath's, so the spy, which
+    patches the sieve module, does not see them."""
     moduli = set()
 
     def spy(*args):
@@ -456,7 +457,7 @@ def _sieve_with_root_primes(lo, hi, limit=10_000):
         return builtins.pow(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactmath, "pow", spy, raising=False)
+        mp.setattr(sieve, "pow", spy, raising=False)
         sieved = [(f.value, f.factors) for f in phi3_factorizations(lo, hi)]
     return sieved, sorted(moduli)
 

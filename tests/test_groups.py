@@ -3,6 +3,7 @@ published order values."""
 
 import hashlib
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -237,6 +238,48 @@ def test_sporadic_table_consistency():
     assert SPORADIC_ORDERS["M11"] == 7920
     assert SPORADIC_ORDERS["M12"] == 95040
     assert SPORADIC_ORDERS["Co1"] == 4157776806543360000
+
+
+# The orders of the 26 sporadic groups as prime factorizations, from the
+# ATLAS of Finite Groups (Conway et al., 1985), typed independently of the
+# integers in SPORADIC_ORDERS.
+_ATLAS_ORDERS = {
+    "M11": {2: 4, 3: 2, 5: 1, 11: 1},
+    "M12": {2: 6, 3: 3, 5: 1, 11: 1},
+    "M22": {2: 7, 3: 2, 5: 1, 7: 1, 11: 1},
+    "M23": {2: 7, 3: 2, 5: 1, 7: 1, 11: 1, 23: 1},
+    "M24": {2: 10, 3: 3, 5: 1, 7: 1, 11: 1, 23: 1},
+    "J1": {2: 3, 3: 1, 5: 1, 7: 1, 11: 1, 19: 1},
+    "J2": {2: 7, 3: 3, 5: 2, 7: 1},
+    "J3": {2: 7, 3: 5, 5: 1, 17: 1, 19: 1},
+    "J4": {2: 21, 3: 3, 5: 1, 7: 1, 11: 3, 23: 1, 29: 1, 31: 1, 37: 1, 43: 1},
+    "Co1": {2: 21, 3: 9, 5: 4, 7: 2, 11: 1, 13: 1, 23: 1},
+    "Co2": {2: 18, 3: 6, 5: 3, 7: 1, 11: 1, 23: 1},
+    "Co3": {2: 10, 3: 7, 5: 3, 7: 1, 11: 1, 23: 1},
+    "Fi22": {2: 17, 3: 9, 5: 2, 7: 1, 11: 1, 13: 1},
+    "Fi23": {2: 18, 3: 13, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 23: 1},
+    "Fi24'": {2: 21, 3: 16, 5: 2, 7: 3, 11: 1, 13: 1, 17: 1, 23: 1, 29: 1},
+    "HS": {2: 9, 3: 2, 5: 3, 7: 1, 11: 1},
+    "McL": {2: 7, 3: 6, 5: 3, 7: 1, 11: 1},
+    "He": {2: 10, 3: 3, 5: 2, 7: 3, 17: 1},
+    "Ru": {2: 14, 3: 3, 5: 3, 7: 1, 13: 1, 29: 1},
+    "Suz": {2: 13, 3: 7, 5: 2, 7: 1, 11: 1, 13: 1},
+    "ON": {2: 9, 3: 4, 5: 1, 7: 3, 11: 1, 19: 1, 31: 1},
+    "HN": {2: 14, 3: 6, 5: 6, 7: 1, 11: 1, 19: 1},
+    "Ly": {2: 8, 3: 7, 5: 6, 7: 1, 11: 1, 31: 1, 37: 1, 67: 1},
+    "Th": {2: 15, 3: 10, 5: 3, 7: 2, 13: 1, 19: 1, 31: 1},
+    "B": {2: 41, 3: 13, 5: 6, 7: 2, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1, 31: 1, 47: 1},
+    "M": {2: 46, 3: 20, 5: 9, 7: 6, 11: 2, 13: 3, 17: 1, 19: 1, 23: 1, 29: 1, 31: 1,
+          41: 1, 47: 1, 59: 1, 71: 1},
+}
+
+
+def test_sporadic_orders_match_their_atlas_factorizations():
+    assert len(_ATLAS_ORDERS) == 26 and set(_ATLAS_ORDERS) == set(SPORADIC_ORDERS)
+    for name, factors in _ATLAS_ORDERS.items():
+        expected = prod(p**e for p, e in factors.items())
+        assert SPORADIC_ORDERS[name] == expected, name
+        assert order(group_spec("SPOR", name=name)) == expected, name
 
 
 def test_group_spec_validation():

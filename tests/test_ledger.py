@@ -103,6 +103,22 @@ def test_ljunggren_scan_walk_matches_oracle(monkeypatch, bound):
                              ("scanned", 1, bound, "cross-checked", min(bound, 2000)))
 
 
+@pytest.mark.parametrize("bound, first_passes, even_table", [
+    (6, (), []),
+    (7, (("m12-first-pass", 7),), []),
+    (38, (("m12-first-pass", 7),), [14, 38]),
+    (39, (("m12-first-pass", 7), ("m3-first-pass", 39, 9139)), [14, 38]),
+])
+def test_psl_divis_witnesses_where_each_first_pass_appears(bound, first_passes, even_table):
+    # binomial(n, m) is first admissible at n = 7 for m <= 2 and at n = 39
+    # for m = 3: each first-pass witness appears at that bound, not before
+    res = ledger.replay("PSL-DIVIS", bound=bound)
+    assert res.verdict is Verdict.INCONCLUSIVE
+    assert res.witnesses == (*first_passes, ("m4-none-through", bound),
+                             ("even-table", even_table),
+                             ("m2-parity", "even exactly when n = 0,1 mod 4"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**12))
 def test_phi3_value_is_never_a_square(u):

@@ -7,13 +7,13 @@ from math import gcd, prod
 
 import pytest
 
-import planesieve.exactmath
-from planesieve.exactmath import (Factorization, factorize, is_prime_power,
-                                  phi3_factorizations, small_primes)
+import planesieve.sieve
+from planesieve.exactmath import Factorization, factorize, is_prime_power, small_primes
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
                               ljunggren_classify, plane_order, plane_orders,
                               quadratic_ratio_root)
+from planesieve.sieve import phi3_factorizations
 
 
 def test_plane_order_u2():
@@ -54,13 +54,13 @@ def test_plane_order_identities():
 
 def test_plane_orders_yields_lazily(monkeypatch):
     # the first row needs only the first sieve block, not the whole range
-    real, calls = planesieve.exactmath._factor_into, []
+    real, calls = planesieve.sieve._factor_into, []
 
     def spy(m, depth, acc):
         calls.append(m)
         real(m, depth, acc)
 
-    monkeypatch.setattr(planesieve.exactmath, "_factor_into", spy)
+    monkeypatch.setattr(planesieve.sieve, "_factor_into", spy)
     assert next(plane_orders(2, 50_000)).u == 2
     assert 0 < len(calls) <= 2048
 
