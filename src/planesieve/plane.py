@@ -2,19 +2,17 @@
 
 A candidate plane order x is always a square here; v is the point count,
 and v factors as (u**2 + u + 1)(u**2 - u + 1) with coprime halves.  The
-functions in this module are the per-order filters: the admissibility
-test on indices, the prime-power classification of u**2 + u + 1, the
-cofactor inequality gate, and the two-count bookkeeping for involution
-classes.
+functions in this module are the per-order filters: v's factorization
+merged from its two sieved halves, the admissibility test on indices,
+the prime-power classification of u**2 + u + 1, the cofactor inequality
+gate, and the two-count bookkeeping for involution classes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from math import gcd, isqrt
+from math import isqrt
 
 from .exactmath import Factorization, factorize
 from .sieve import phi3_factorizations
@@ -23,46 +21,24 @@ from .sieve import phi3_factorizations
 U_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class PlaneOrder:
-    """Square plane order x = u**2 with v = x**2 + x + 1.  plus_factors and
-    minus_factors are the factorizations of u**2 + u + 1 (the form
-    ljunggren_classify takes) and of u**2 - u + 1; v_factors holds their
-    primes side by side, the halves being coprime."""
-
-    u: int
-    v: int
-    v_factors: Factorization
-    plus_factors: Factorization
-    minus_factors: Factorization
+def v_factorization(minus: Factorization, plus: Factorization) -> Factorization:
+    """The Factorization of v = (u**2 - u + 1)(u**2 + u + 1), given those
+    halves: they are coprime, so v's primes are theirs side by side."""
+    return Factorization(minus.value * plus.value, tuple(sorted(plus.factors + minus.factors)))
 
 
-def plane_orders(u_min: int, u_max: int) -> Iterator[PlaneOrder]:
-    """Exact plane-order data for x = u**2, u = u_min, ..., u_max
-    (2 <= u_min <= u_max), yielded one u at a time.  Both halves of each
-    v are read off one sieve pass, and neighbouring rows share a value:
-    u**2 - u + 1 at u is u**2 + u + 1 at u - 1.  A bad range raises
-    ValueError when the first row is asked for."""
-    if not 2 <= u_min <= u_max:
-        raise ValueError(f"plane_orders expects 2 <= u_min <= u_max, got [{u_min}, {u_max}]")
-    halves = pairwise(phi3_factorizations(u_min - 1, u_max))
-    for u, (minus, plus) in zip(range(u_min, u_max + 1), halves):
-        x = u * u
-        v = x * x + x + 1
-        assert v == plus.value * minus.value and gcd(plus.value, minus.value) == 1
-        v_factors = Factorization(v, tuple(sorted(plus.factors + minus.factors)))
-        yield PlaneOrder(u, v, v_factors, plus, minus)
-
-
-def plane_order(u: int) -> PlaneOrder:
-    """Exact plane-order data for square order x = u**2.  Requires u >= 2."""
-    return next(plane_orders(u, u))
+def plane_order(u: int) -> Factorization:
+    """The Factorization of v = x**2 + x + 1 at square order x = u**2,
+    read off one sieve pass over its two halves.  Requires u >= 2."""
+    if u < 2:
+        raise ValueError(f"plane_order expects u >= 2, got {u}")
+    return v_factorization(*phi3_factorizations(u - 1, u))
 
 
 def admissible_index(n: int | Factorization) -> bool:
     """True iff every prime divisor of n is 3 or lies in 1 mod 3, and the
     exponent of 3 is at most 1.  n = 1 passes vacuously.  n may be given
-    as its Factorization (such as PlaneOrder.v_factors), which is read
+    as its Factorization (such as a scan row's v_factors), which is read
     as is and not factored again.  An int is refused before it is
     factored when 2 or 9 divides it or it is 2 mod 3 (a number = 2 mod 3
     has a prime divisor = 2 mod 3)."""
@@ -91,8 +67,8 @@ class LjunggrenClass(Enum):
 
 
 def ljunggren_classify(plus: Factorization) -> LjunggrenClass:
-    """Classify u**2 + u + 1, given as its Factorization (such as
-    PlaneOrder.plus_factors): prime, the exceptional perfect power 343
+    """Classify u**2 + u + 1, given as its Factorization (such as the
+    sieve's value at x = u): prime, the exceptional perfect power 343
     (u = 18), some other proper prime power, or composite."""
     if len(plus.factors) > 1:
         return LjunggrenClass.COMPOSITE
@@ -117,8 +93,8 @@ def kantor_cofactor_holds(prime_power: int, m: int, u: int) -> bool:
     is the full power p**a (a >= 2) of a prime dividing v and m is its
     cofactor: the gate holds when m > 8 * prime_power, or when
     prime_power is 343 and equals u**2 + u + 1 or u**2 - u + 1.  The
-    decomposition is taken as given (such as one read off
-    PlaneOrder.v_factors) and is not re-checked."""
+    decomposition is taken as given (such as one read off a scan row's
+    v_factors) and is not re-checked."""
     return m > 8 * prime_power or (prime_power == 343 and 343 in (u * u + u + 1, u * u - u + 1))
 
 

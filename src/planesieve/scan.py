@@ -1,14 +1,15 @@
 """Feasibility sieve over square plane orders.
 
-A row per u applies the necessary conditions in a fixed order: the two
-halves of u^4+u^2+1 are coprime, the value is admissible, u^2+u+1 is
-not a forbidden proper prime power, any repeated-prime part satisfies
-the cofactor inequality, and optionally each candidate group passes
-the involution counting gate.  Survival means "not yet eliminated",
-never that a plane or an action exists.  A row with candidates makes
-one gate call for all of them, and a row whose u^2-u+1 does not divide
-L, the lcm of every candidate's class sizes, is rejected by one modulus
-without testing any candidate.
+A row per u is built from the two halves of u^4+u^2+1 that one sieve
+pass yields, and applies the necessary conditions in a fixed order: the
+halves are coprime, the value is admissible, u^2+u+1 is not a forbidden
+proper prime power, any repeated-prime part satisfies the cofactor
+inequality, and optionally each candidate group passes the involution
+counting gate.  Survival means "not yet eliminated", never that a plane
+or an action exists.  A row with candidates makes one gate call for all
+of them, and a row whose u^2-u+1 does not divide L, the lcm of every
+candidate's class sizes, is rejected by one modulus without testing any
+candidate.
 
 The four filters before the candidate gate hold at every u >= 2, so
 only the candidate gate can eliminate a row; the rows still compute
@@ -35,14 +36,16 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import pairwise
 from math import gcd, lcm
 from operator import itemgetter
 
 from .catalog import classes_for, involution_class_size
 from .exactmath import Factorization
 from .groups import GroupSpec, min_proper_index
-from .plane import (U_CAP, LjunggrenClass, PlaneOrder, admissible_index,
-                    kantor_cofactor_holds, ljunggren_classify, plane_orders)
+from .plane import (U_CAP, LjunggrenClass, admissible_index, kantor_cofactor_holds,
+                    ljunggren_classify, v_factorization)
+from .sieve import phi3_factorizations
 
 
 @dataclass(frozen=True)
@@ -114,21 +117,19 @@ def prepare_candidates(specs: list[GroupSpec]) -> Candidates:
                       miss=_verdict(tuple(cand.entries[False] for cand in each)))
 
 
-def candidate_gate(plane: PlaneOrder, cands: Candidates) -> GateVerdict:
+def candidate_gate(ratio: int, v: int, cands: Candidates) -> GateVerdict:
     """Test, for each candidate, whether some catalog involution class
-    admits the counting identity v = (n_g/r_g)(u^2+u+1) at this plane
-    order: some class size n_g must be a multiple of u^2-u+1, and v must
-    exceed the index floor.  A sieve row makes this one call for all of
-    its candidates.  u^2-u+1 divides a candidate's lcm whenever it
-    divides one of its sizes, and then it divides L too, so a row whose
-    u^2-u+1 does not divide L costs one modulus and gets the shared
-    verdict.  Only the other rows test each candidate: its lcm, then its
-    sizes, then its floor.  An uncovered candidate fails the lcm test
-    (u^2-u+1 >= 3) and keeps its (label, True) entry."""
-    ratio = plane.minus_factors.value
+    admits the counting identity v = (n_g/r_g)(u^2+u+1) at the plane
+    order whose u^2-u+1 is ratio: some class size n_g must be a multiple
+    of ratio, and v must exceed the index floor.  A sieve row makes this
+    one call for all of its candidates.  u^2-u+1 divides a candidate's
+    lcm whenever it divides one of its sizes, and then it divides L too,
+    so a row whose u^2-u+1 does not divide L costs one modulus and gets
+    the shared verdict.  Only the other rows test each candidate: its
+    lcm, then its sizes, then its floor.  An uncovered candidate fails
+    the lcm test (u^2-u+1 >= 3) and keeps its (label, True) entry."""
     if cands.lcm % ratio:
         return cands.miss
-    v = plane.v
     return _verdict(tuple(
         cand.entries[cand.lcm % ratio == 0
                      and any(n_g % ratio == 0 for n_g in cand.sizes)
@@ -144,28 +145,33 @@ _LJUNGGREN = {cls: (f"ljunggren-{cls.value}", cls is not LjunggrenClass.OTHER_PR
 _KANTOR = {None: ("kantor-not-applicable", True), False: ("kantor", False), True: ("kantor", True)}
 
 
-def _row(plane: PlaneOrder, candidates: Candidates | None) -> SieveRow:
-    factors = plane.v_factors
+def _row(u: int, minus: Factorization, plus: Factorization,
+         candidates: Candidates | None) -> SieveRow:
+    factors = v_factorization(minus, plus)
+    x, v = u * u, factors.value
+    assert v == x * x + x + 1  # the halves are u's; coprime-halves witnesses the rest
     repeated = [p**e for p, e in factors.factors if e >= 2]
-    kantor = (all(kantor_cofactor_holds(pe, plane.v // pe, plane.u) for pe in repeated)
+    kantor = (all(kantor_cofactor_holds(pe, v // pe, u) for pe in repeated)
               if repeated else None)
-    trace = (_COPRIME[gcd(plane.plus_factors.value, plane.minus_factors.value) == 1],
+    trace = (_COPRIME[gcd(plus.value, minus.value) == 1],
              _ADMISSIBLE[admissible_index(factors)],
-             _LJUNGGREN[ljunggren_classify(plane.plus_factors)],
+             _LJUNGGREN[ljunggren_classify(plus)],
              _KANTOR[kantor])
     if candidates is not None:
-        trace += candidate_gate(plane, candidates).entries
-    return SieveRow(plane.u, plane.v, factors, trace, all(map(itemgetter(1), trace)))
+        trace += candidate_gate(minus.value, v, candidates).entries
+    return SieveRow(u, v, factors, trace, all(map(itemgetter(1), trace)))
 
 
 def sieve_orders(u_min: int, u_max: int,
                  group_candidates: list[GroupSpec] | None = None,
                  emit: Callable[[SieveRow], None] | None = None) -> list[SieveRow]:
-    """One SieveRow per u in [u_min, u_max], in order.  When emit is
-    given, each row is handed to it as soon as it is built, before the
-    next row is sieved, so a caller can write rows out as they come; the
-    range is checked before any row is built.  The list of every row is
-    returned either way, so memory still grows with the range."""
+    """One SieveRow per u in [u_min, u_max], in order, built from one sieve
+    pass over x = u_min - 1, ..., u_max: u^2-u+1 at u is u^2+u+1 at u - 1,
+    so neighbouring rows share a value.  When emit is given, each row is
+    handed to it as soon as it is built, before the next row is sieved,
+    so a caller can write rows out as they come; the range is checked
+    before any row is built.  The list of every row is returned either
+    way, so memory still grows with the range."""
     if u_min < 2:
         raise ValueError(f"u_min must be >= 2, got {u_min}")
     if u_max < u_min:
@@ -174,8 +180,9 @@ def sieve_orders(u_min: int, u_max: int,
         raise ValueError(f"u_max {u_max} exceeds the cap {U_CAP}")
     candidates = prepare_candidates(group_candidates) if group_candidates else None
     rows = []
-    for plane in plane_orders(u_min, u_max):
-        row = _row(plane, candidates)
+    halves = pairwise(phi3_factorizations(u_min - 1, u_max))
+    for u, (minus, plus) in zip(range(u_min, u_max + 1), halves):
+        row = _row(u, minus, plus, candidates)
         if emit is not None:
             emit(row)
         rows.append(row)

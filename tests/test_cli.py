@@ -319,9 +319,9 @@ def test_scan_writes_each_row_as_it_is_sieved(monkeypatch, fmt, first_row, summa
     from planesieve import scan
     real, built = scan._row, []
 
-    def spy(plane, candidates):
-        built.append(plane.u)
-        return real(plane, candidates)
+    def spy(u, minus, plus, candidates):
+        built.append(u)
+        return real(u, minus, plus, candidates)
 
     monkeypatch.setattr(scan, "_row", spy)
     sink = _RowCountingSink(built)
@@ -347,10 +347,10 @@ def test_scan_failing_midway_leaves_the_rows_before_it(monkeypatch, capsys):
     from planesieve import scan
     real = scan._row
 
-    def failing(plane, candidates):
-        if plane.u == 5:
+    def failing(u, minus, plus, candidates):
+        if u == 5:
             raise RuntimeError("row 5 broke")
-        return real(plane, candidates)
+        return real(u, minus, plus, candidates)
 
     monkeypatch.setattr(scan, "_row", failing)
     code, out, err = _run(capsys, "scan", "--u-min", "2", "--u-max", "60",
@@ -367,10 +367,10 @@ def test_internal_index_error_is_not_a_usage_error(monkeypatch, capsys):
     from planesieve import scan
     real = scan._row
 
-    def failing(plane, candidates):
-        if plane.u == 5:
+    def failing(u, minus, plus, candidates):
+        if u == 5:
             return ()[0]
-        return real(plane, candidates)
+        return real(u, minus, plus, candidates)
 
     monkeypatch.setattr(scan, "_row", failing)
     code, _, err = _run(capsys, "scan", "--u-min", "2", "--u-max", "60")

@@ -119,6 +119,51 @@ def test_psl_divis_witnesses_where_each_first_pass_appears(bound, first_passes, 
                              ("m2-parity", "even exactly when n = 0,1 mod 4"))
 
 
+_ALT_LAST_PASS = ("last-pass", 43, 2**21, 43**4)      # 2097152 < 3418801
+_ALT_FIRST_FAIL = ("first-fail", 44, 2**22, 44**4)    # 4194304 >= 3748096
+
+
+@pytest.mark.parametrize("bound, witnesses", [
+    (42, ()),
+    (43, (_ALT_LAST_PASS,)),
+    (44, (_ALT_LAST_PASS, _ALT_FIRST_FAIL)),
+])
+def test_alt_bound_witnesses_at_the_cutoff(bound, witnesses):
+    # 2^floor(n/2) < n^4 last holds at n = 43: each edge witness appears
+    # at the first bound that reaches its degree, not before
+    res = ledger.replay("ALT-BOUND", bound=bound)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.bound == bound
+    assert res.witnesses == witnesses
+
+
+@pytest.mark.parametrize("bound, witnesses", [
+    (6, ()),
+    (7, (("last-pass", 6, 28, 30), ("first-fail", 7, 44, 42))),
+])
+def test_psl_c2c5_witnesses_at_the_cutoff(bound, witnesses):
+    # 2(n^2-5n+8) <= n(n-1) last holds at n = 6 (28 <= 30) and fails at
+    # n = 7 (44 > 42): both witnesses appear together at bound 7
+    res = ledger.replay("PSL-C2C5", bound=bound)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.bound == bound
+    assert res.witnesses == witnesses
+
+
+_TYPE67_CROSSOVER = ("crossover", 25, 15624, ">", 15600)
+_TYPE67_SURVIVORS = ("odd-survivors", 7, 13, 19)
+
+
+@pytest.mark.parametrize("bound, witnesses", [
+    (26, (_TYPE67_CROSSOVER, _TYPE67_SURVIVORS)),
+    (27, (_TYPE67_CROSSOVER, ("first-fail", 27, 18168, "<=", 19656), _TYPE67_SURVIVORS)),
+])
+def test_psl3_type67_witnesses_at_the_cutoff(bound, witnesses):
+    # 24(q^2+q+1) > q^3-q last holds at q = 25; the first prime power that
+    # fails it is 27, so its witness appears at bound 27, not at 26
+    res = ledger.replay("PSL3-TYPE67", bound=bound)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.bound == bound
+    assert res.witnesses == witnesses
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**12))
 def test_phi3_value_is_never_a_square(u):

@@ -7,31 +7,38 @@ from math import gcd, prod
 
 import pytest
 
-import planesieve.sieve
 from planesieve.exactmath import Factorization, factorize, is_prime_power, small_primes
 from planesieve.plane import (InvolutionCount, LjunggrenClass, admissible_index,
                               fixed_count_bound, involution_counts, kantor_cofactor_holds,
-                              ljunggren_classify, plane_order, plane_orders,
-                              quadratic_ratio_root)
+                              ljunggren_classify, plane_order, quadratic_ratio_root,
+                              v_factorization)
+from planesieve.scan import sieve_orders
 from planesieve.sieve import phi3_factorizations
 
 
+def _halves(u):
+    """(u**2 - u + 1, u**2 + u + 1) as one sieve pass yields them."""
+    return tuple(phi3_factorizations(u - 1, u))
+
+
 def test_plane_order_u2():
-    plane = plane_order(2)
-    assert (plane.u, plane.v) == (2, 21)
-    assert (plane.plus_factors.value, plane.minus_factors.value) == (7, 3)
-    assert plane.v_factors.factors == ((3, 1), (7, 1))
+    v = plane_order(2)
+    minus, plus = _halves(2)
+    assert v.value == 21
+    assert (plus.value, minus.value) == (7, 3)
+    assert v.factors == ((3, 1), (7, 1))
 
 
 def test_plane_order_u18_exceptional():
-    plane = plane_order(18)
-    assert plane.v == 105301
-    assert (plane.plus_factors.value, plane.minus_factors.value) == (343, 307)
-    assert plane.v_factors.factors == ((7, 3), (307, 1))
+    v = plane_order(18)
+    minus, plus = _halves(18)
+    assert v.value == 105301
+    assert (plus.value, minus.value) == (343, 307)
+    assert v.factors == ((7, 3), (307, 1))
 
 
 def test_plane_order_u4():
-    assert plane_order(4).v == 273
+    assert plane_order(4).value == 273
 
 
 def test_plane_order_requires_u_at_least_2():
@@ -42,36 +49,26 @@ def test_plane_order_requires_u_at_least_2():
 
 def test_plane_order_identities():
     for u in range(2, 300):
-        plane = plane_order(u)
-        plus, minus = plane.plus_factors.value, plane.minus_factors.value
-        assert plane.v == u**4 + u**2 + 1
+        v = plane_order(u)
+        halves = _halves(u)
+        minus, plus = (half.value for half in halves)
+        assert v.value == u**4 + u**2 + 1
         assert plus == u * u + u + 1
         assert minus == u * u - u + 1
-        assert plus * minus == plane.v
+        assert plus * minus == v.value
         assert gcd(plus, minus) == 1
-        assert plane.v_factors.reassemble() == plane.v
-
-
-def test_plane_orders_yields_lazily(monkeypatch):
-    # the first row needs only the first sieve block, not the whole range
-    real, calls = planesieve.sieve._factor_into, []
-
-    def spy(m, depth, acc):
-        calls.append(m)
-        real(m, depth, acc)
-
-    monkeypatch.setattr(planesieve.sieve, "_factor_into", spy)
-    assert next(plane_orders(2, 50_000)).u == 2
-    assert 0 < len(calls) <= 2048
+        assert v.reassemble() == v.value
+        assert v == v_factorization(*halves)
 
 
 @pytest.mark.parametrize("u_min,u_max", [(2, 3000), (999001, 10**6)])
 def test_v_factors_merge_the_halves(u_min, u_max):
-    for plane in plane_orders(u_min, u_max):
-        u = plane.u
+    # each scan row's v_factors, against both halves factored on their own
+    for row in sieve_orders(u_min, u_max):
+        u = row.u
         merged = Counter(dict(factorize(u * u + u + 1).factors))
         merged.update(dict(factorize(u * u - u + 1).factors))
-        assert plane.v_factors.factors == tuple(sorted(merged.items()))
+        assert row.v_factors.factors == tuple(sorted(merged.items()))
 
 
 @pytest.mark.parametrize("n,expected", [

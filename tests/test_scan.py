@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import planesieve.exactmath
 import planesieve.plane
 import planesieve.scan
+import planesieve.sieve
 from planesieve.catalog import classes_for, involution_class_size
 from planesieve.exactmath import is_prime, nth_root
 from planesieve.groups import GroupSpec, group_spec, min_proper_index, parse_group
-from planesieve.plane import admissible_index, plane_order, plane_orders
+from planesieve.plane import admissible_index, plane_order
 from planesieve.scan import U_CAP, candidate_gate, prepare_candidates, sieve_orders
+from planesieve.sieve import phi3_factorizations
 
 from test_cli import WHOLE_CATALOG
 
@@ -49,10 +51,10 @@ def _entry(spec: GroupSpec, u: int) -> tuple[str, bool]:
 
 def test_candidate_gate_pass_at_u4():
     spec = group_spec("PSL", n=2, q=13)
-    plane, cand = plane_order(4), prepare_candidates([spec]).each[0]
+    (minus, _), cand = phi3_factorizations(3, 4), prepare_candidates([spec]).each[0]
     assert _entry(spec, 4) == ("candidate-PSL(2,13)", True)
     # r = 91/13 = 7 involutions through a point, and v = 273 clears the floor
-    assert cand.sizes == (91,) and plane.minus_factors.value == 13
+    assert cand.sizes == (91,) and minus.value == 13
     assert cand.floor == 14
 
 
@@ -62,11 +64,11 @@ def test_candidate_gate_non_divisor_at_u2():
 
 def test_candidate_gate_floor_kills_g2_at_u3():
     spec = group_spec("G2", q=7)
-    plane, cand = plane_order(3), prepare_candidates([spec]).each[0]
+    (minus, _), cand = phi3_factorizations(2, 3), prepare_candidates([spec]).each[0]
     assert _entry(spec, 3) == ("candidate-G2(7)", False)
     # a class divides through, so only the index floor fails
-    assert any(n_g % plane.minus_factors.value == 0 for n_g in cand.sizes)
-    assert plane.v <= cand.floor == 19608
+    assert any(n_g % minus.value == 0 for n_g in cand.sizes)
+    assert plane_order(3).value <= cand.floor == 19608
 
 
 def test_candidate_gate_uncovered_family():
@@ -150,12 +152,13 @@ def test_per_row_gate_is_its_definition_on_sub_lists(picks, u_min, width):
     specs = [_GATE_SPECS[i] for i in picks]
     rows = sieve_orders(u_min, u_max, specs)
     cands = prepare_candidates(specs)
-    for row, plane in zip(rows, plane_orders(u_min, u_max), strict=True):
+    assert [row.u for row in rows] == list(range(u_min, u_max + 1))
+    for row in rows:
         expected = _definition(picks, row.u)
         assert row.filter_trace[4:] == expected, row.u
         assert row.survived == all(ok for _, ok in expected), row.u
         if specs:
-            verdict = candidate_gate(plane, cands)
+            verdict = candidate_gate(row.u * row.u - row.u + 1, row.v, cands)
             assert verdict.entries == expected, row.u
             assert verdict.outcome == ("pass" if row.survived else "fail"), row.u
 
@@ -164,9 +167,9 @@ def test_rows_outside_l_share_one_verdict(monkeypatch):
     real = planesieve.scan.candidate_gate
     calls = []
 
-    def spy(plane, cands):
-        verdict = real(plane, cands)
-        calls.append((plane.minus_factors.value, cands, verdict))
+    def spy(ratio, v, cands):
+        verdict = real(ratio, v, cands)
+        calls.append((ratio, cands, verdict))
         return verdict
 
     monkeypatch.setattr(planesieve.scan, "candidate_gate", spy)
@@ -203,19 +206,29 @@ def test_verdicts_built_per_candidate_not_per_row(monkeypatch):
 def test_gate_called_once_per_row_with_candidates(monkeypatch):
     # bench/tracer.py counts gate calls and passes by wrapping this module
     # binding and reading each verdict's outcome, so every row with
-    # candidates makes one call, and a pass is a row the gate lets through
-    real = planesieve.scan.candidate_gate
-    outcomes = []
+    # candidates makes one call, and a pass is a row the gate lets through.
+    # The benchmark's own suite pins the rest of these call shapes too:
+    # one admissible_index call per row through this module's binding,
+    # a returned list of rows with .survived, and plane.plane_order by name
+    real, real_admissible = planesieve.scan.candidate_gate, planesieve.scan.admissible_index
+    outcomes, admissible = [], []
 
-    def spy(plane, cands):
-        verdict = real(plane, cands)
+    def spy(ratio, v, cands):
+        verdict = real(ratio, v, cands)
         outcomes.append(verdict.outcome)
         return verdict
 
+    def spy_admissible(n):
+        admissible.append(n)
+        return real_admissible(n)
+
     monkeypatch.setattr(planesieve.scan, "candidate_gate", spy)
+    monkeypatch.setattr(planesieve.scan, "admissible_index", spy_admissible)
     rows = sieve_orders(2, 40, [group_spec("PSL", n=2, q=13)])
-    assert len(rows) == len(outcomes) == 39
+    assert type(rows) is list and all(isinstance(row.survived, bool) for row in rows)
+    assert len(rows) == len(outcomes) == len(admissible) == 39
     assert outcomes.count("pass") == sum(row.survived for row in rows) == 3
+    assert callable(planesieve.plane.plane_order)
     outcomes.clear()
     # at u = 3 PSL(2,13) passes and G2(7) fails on its floor: the row fails
     rows = sieve_orders(2, 500, [_GATE_SPECS[i] for i in (_PSL2_13, _G2_7, _A7)])
@@ -362,6 +375,28 @@ def test_sieve_hands_each_row_to_emit_as_built():
     assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
     assert [row.u for row in seen] == list(range(2, 301))
     assert rows == sieve_orders(2, 300, specs)
+
+
+def test_sieve_orders_emits_its_first_row_lazily(monkeypatch):
+    # the first row needs only the first sieve block, not the whole range
+    real, calls, seen = planesieve.sieve._factor_into, [], []
+
+    def spy(m, depth, acc):
+        calls.append(m)
+        real(m, depth, acc)
+
+    class FirstRow(Exception):
+        pass
+
+    def stop(row):
+        seen.append((row.u, len(calls)))
+        raise FirstRow
+
+    monkeypatch.setattr(planesieve.sieve, "_factor_into", spy)
+    with pytest.raises(FirstRow):
+        sieve_orders(2, 50_000, emit=stop)
+    [(u, factored)] = seen
+    assert u == 2 and 0 < factored <= 2048
 
 
 def test_sieve_rejects_bad_ranges():
